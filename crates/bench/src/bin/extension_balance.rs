@@ -1,5 +1,5 @@
 //! Extension: one-pass dynamic load balancing (after Cuenca et al.,
-//! reference [10]) vs the paper's offline two-stage sweep. The balancer
+//! reference \[10\]) vs the paper's offline two-stage sweep. The balancer
 //! needs zero pilot runs; how close does it get?
 
 use hetero_sim::balance::{run_balanced, BalanceConfig};

@@ -336,7 +336,7 @@ pub fn ablation_bulk(sizes: &[usize]) -> Figure {
     let mut bulk = Series::new("bulk-pooled(ms)");
     let mut spawn = Series::new("bulk-spawned(ms)");
     let pooled = lddp_parallel::ParallelEngine::host();
-    let scalar_engine = pooled.clone().with_bulk_enabled(false);
+    let scalar_engine = pooled.clone().with_tier(Some(ExecTier::Scalar));
     let best_ms = |f: &mut dyn FnMut()| {
         let mut best = f64::INFINITY;
         for _ in 0..2 {

@@ -1,6 +1,6 @@
 //! Per-wave-variable schedules — the substrate for *dynamic load
 //! balancing*, the heuristic alternative (after Cuenca et al., the
-//! paper's reference [10]) to the offline `t_share` sweep of §V-A.
+//! paper's reference \[10\]) to the offline `t_share` sweep of §V-A.
 //!
 //! A [`VariablePlan`] is a two-device column-band schedule whose band
 //! width may differ per wave. Ownership is decided by the band of the

@@ -16,7 +16,8 @@
 //! * [`solve_best`] — an arg-best fold over every cell (Smith–Waterman
 //!   local maxima).
 //!
-//! The band layout deliberately matches [`WaveKernel::compute_run`]'s
+//! The band layout deliberately matches
+//! [`WaveKernel::compute_run`](crate::kernel::WaveKernel::compute_run)'s
 //! run orientation — position `p` within a wave is cell
 //! `(w - j_lo - p, j_lo + p)`, i.e. increasing `j`, decreasing `i` — so
 //! interior runs are handed to the *same* bulk/SIMD bodies the
@@ -305,8 +306,8 @@ pub fn solve_best<K: Kernel + ?Sized>(
 }
 
 /// One completed slice of the wave schedule, as emitted by a streaming
-/// rolling solve (`lddp-parallel`'s `solve_rolling_stream`, the serve
-/// crate's `POST /solve?stream=1`).
+/// rolling solve (`lddp-parallel`'s `solve_with` with a stream hook,
+/// the serve crate's `POST /solve?stream=1`).
 ///
 /// Bands are slices of the *wave* schedule, not literal row bands: on a
 /// square grid, row 0 only seals at wave `cols - 1` — halfway through

@@ -1,6 +1,6 @@
 //! Dynamic load balancing — the online alternative to the §V-A offline
 //! sweeps, in the spirit of the work-distribution heuristics of Cuenca
-//! et al. (the paper's reference [10]).
+//! et al. (the paper's reference \[10\]).
 //!
 //! Instead of tuning `t_share` with full pilot runs, the balancer
 //! observes each shared wave's CPU and GPU spans and nudges the next

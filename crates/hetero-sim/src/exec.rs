@@ -4,8 +4,9 @@
 //!
 //! - [`run_cpu`] — "CPU parallel": every wave on the multicore model;
 //! - [`run_gpu`] — "GPU": one kernel per wave on the device model;
-//! - [`run_hetero`] — "Framework": a [`Plan`]'s phases, band partition
-//!   and boundary transfers over both models.
+//! - [`run_hetero`] — "Framework": a
+//!   [`Plan`](lddp_core::schedule::Plan)'s phases, band partition and
+//!   boundary transfers over both models.
 //!
 //! Execution is *functional* when requested: cell values are actually
 //! computed, with the host and device holding **separate grids** that

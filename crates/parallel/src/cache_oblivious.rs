@@ -1,5 +1,5 @@
 //! Cache-oblivious LDDP evaluation, after Chowdhury & Ramachandran's
-//! cache-efficient multicore DP (the paper's reference [8]) — the
+//! cache-efficient multicore DP (the paper's reference \[8\]) — the
 //! strongest *CPU-side* generic baseline in the related work.
 //!
 //! The table is split into quadrants and evaluated recursively in the

@@ -31,17 +31,23 @@
 //!   vector backend ([`simd_available`]), with worker chunk boundaries
 //!   rounded down to lane multiples so at most one partial vector per
 //!   (worker, wave) is peeled. The resolved [`ExecTier`] is recorded on
-//!   every traced wave span; `LDDP_FORCE_TIER=scalar|bulk|simd` (read
-//!   once per process) or [`ParallelEngine::with_tier`] pin the tier
-//!   for debugging and ablations, downgrading gracefully when the
-//!   pinned tier is unavailable for a kernel.
+//!   every traced wave span. `LDDP_FORCE_TIER=scalar|bulk|simd` (read
+//!   once per process) and [`ParallelEngine::with_tier`] both *cap* the
+//!   tier for debugging and ablations — the lower cap wins — and a
+//!   capped tier a kernel cannot support downgrades gracefully.
 //!
-//! [`ParallelEngine::solve_traced`] runs the same algorithm with
-//! wall-clock instrumentation: one span per non-empty (worker, wave)
-//! chunk, per-worker busy time, and a histogram of time spent waiting at
-//! the inter-wave barrier — the otherwise invisible synchronization cost
-//! of the heavy-thread design. With a disabled sink it falls through to
-//! the untraced path, so `NullSink` costs nothing.
+//! Every solve goes through one entry, [`ParallelEngine::solve_with`],
+//! driven by a [`SolveSpec`]: memory mode (full grid or rolling band
+//! ring), execution pattern, arg-best capture, band streaming, fault
+//! injection (which runs the degradation ladder), trace sink and worker
+//! count. [`solve`](ParallelEngine::solve) and
+//! [`solve_rolling`](ParallelEngine::solve_rolling) are its shorthands.
+//! An enabled [`SolveSpec::sink`] adds wall-clock instrumentation: one
+//! span per non-empty (worker, wave) chunk, per-worker busy time, and a
+//! histogram of time spent waiting at the inter-wave barrier — the
+//! otherwise invisible synchronization cost of the heavy-thread design.
+//! With a disabled sink the solve takes the untraced path, so `NullSink`
+//! costs nothing.
 //!
 //! # Safety architecture
 //!
@@ -62,7 +68,9 @@ use crate::pool::{chunk_aligned, PoolError, WorkerPool};
 use lddp_chaos::FaultInjector;
 use lddp_core::cell::{ContributingSet, RepCell};
 use lddp_core::grid::{Grid, Layout, LayoutKind};
-use lddp_core::kernel::{simd_available, ExecTier, Kernel, Neighbors, SimdWaveKernel, WaveKernel};
+use lddp_core::kernel::{
+    simd_available, ExecTier, Kernel, MemoryMode, Neighbors, SimdWaveKernel, WaveKernel,
+};
 use lddp_core::pattern::{classify, Pattern};
 use lddp_core::rolling;
 use lddp_core::schedule::compatible;
@@ -232,7 +240,7 @@ impl<T: Copy + Send + Sync + PartialEq + std::fmt::Debug + Default> BulkExec<'_,
     }
 }
 
-/// The process-wide `LDDP_FORCE_TIER` debugging override, read once.
+/// The process-wide `LDDP_FORCE_TIER` debugging cap, read once.
 /// Unparseable values are treated as unset.
 fn env_forced_tier() -> Option<ExecTier> {
     static FORCED: OnceLock<Option<ExecTier>> = OnceLock::new();
@@ -241,6 +249,18 @@ fn env_forced_tier() -> Option<ExecTier> {
             .ok()
             .and_then(|s| ExecTier::parse(&s))
     })
+}
+
+/// The tier a solve requests before kernel support is checked: the
+/// fastest `available` tier, capped by the `LDDP_FORCE_TIER` value and
+/// by the engine's pin — the lower cap wins, so neither can raise a
+/// tier the other lowered. A [`ExecTier::BitParallel`] cap is no cap:
+/// bit-parallel execution is answer-level, above every grid tier.
+fn requested_tier(available: ExecTier, env: Option<ExecTier>, pin: Option<ExecTier>) -> ExecTier {
+    [env, pin]
+        .into_iter()
+        .flatten()
+        .fold(available, ExecTier::min)
 }
 
 /// Computes one contiguous interior run of wave `w` through the kernel's
@@ -383,7 +403,6 @@ struct WorkerTrace {
 #[derive(Debug, Clone)]
 pub struct ParallelEngine {
     threads: usize,
-    bulk: bool,
     tier: Option<ExecTier>,
     live: Option<Arc<LiveRegistry>>,
     pool: OnceLock<Arc<WorkerPool>>,
@@ -395,7 +414,6 @@ impl ParallelEngine {
     pub fn new(threads: usize) -> Self {
         ParallelEngine {
             threads: threads.max(1),
-            bulk: true,
             tier: None,
             live: None,
             pool: OnceLock::new(),
@@ -415,28 +433,18 @@ impl ParallelEngine {
         self.threads
     }
 
-    /// Enables or disables the bulk [`WaveKernel`] path (on by
-    /// default). With bulk disabled every cell goes through the scalar
-    /// [`Kernel::compute`] path — useful for differential testing and
-    /// for measuring what the bulk path buys.
-    pub fn with_bulk_enabled(mut self, bulk: bool) -> Self {
-        self.bulk = bulk;
-        self
-    }
-
-    /// Whether the bulk path is enabled.
-    pub fn bulk_enabled(&self) -> bool {
-        self.bulk
-    }
-
-    /// Pins the execution tier instead of auto-selecting the fastest
-    /// available one (`None`, the default, restores auto-selection). A
-    /// pinned tier a kernel cannot support downgrades gracefully
-    /// (`Simd → Bulk → Scalar`); pinning [`ExecTier::BitParallel`] is
-    /// equivalent to auto, because the engine solves full tables and
-    /// bit-parallel execution is an answer-only specialization the
-    /// caller must route itself. The `LDDP_FORCE_TIER` environment
-    /// variable takes precedence over this builder.
+    /// Pins (caps) the execution tier instead of auto-selecting the
+    /// fastest available one (`None`, the default, restores
+    /// auto-selection). A pinned tier a kernel cannot support downgrades
+    /// gracefully (`Simd → Bulk → Scalar`); pinning
+    /// [`ExecTier::BitParallel`] is equivalent to auto, because the
+    /// engine solves full tables and bit-parallel execution is an
+    /// answer-only specialization the caller must route itself. A
+    /// [`ExecTier::Scalar`] pin sends every cell through the scalar
+    /// [`Kernel::compute`] path — what differential tests and the
+    /// degradation ladder's `bulk_to_scalar` rung use. The
+    /// `LDDP_FORCE_TIER` environment variable caps the tier too; the
+    /// lower of the two caps wins.
     pub fn with_tier(mut self, tier: Option<ExecTier>) -> Self {
         self.tier = tier;
         self
@@ -504,15 +512,15 @@ impl ParallelEngine {
     }
 
     /// Resolves the tier and bulk executor for solving `kernel` under
-    /// `pattern`: the requested tier (env override, then pinned tier,
-    /// then fastest-available) downgraded to what the kernel and host
+    /// `pattern`: the fastest-available tier capped by `LDDP_FORCE_TIER`
+    /// and the pinned tier, downgraded to what the kernel and host
     /// actually support under this execution pattern.
     fn resolve_exec<'k, K: Kernel + ?Sized>(
         &self,
         kernel: &'k K,
         pattern: Pattern,
     ) -> (ExecTier, Option<BulkExec<'k, K::Cell>>) {
-        let bulk_ok = self.bulk && classify(kernel.contributing_set()) == Some(pattern);
+        let bulk_ok = classify(kernel.contributing_set()) == Some(pattern);
         let wave = if bulk_ok { kernel.wave_kernel() } else { None };
         let simd = if bulk_ok && simd_available() {
             kernel.simd_kernel()
@@ -526,10 +534,7 @@ impl ParallelEngine {
         } else {
             ExecTier::Scalar
         };
-        let requested = match env_forced_tier().or(self.tier) {
-            None | Some(ExecTier::BitParallel) => auto,
-            Some(forced) => auto.min(forced),
-        };
+        let requested = requested_tier(auto, env_forced_tier(), self.tier);
         // A kernel may expose a SIMD hook without a scalar-bulk one;
         // downgrade past any missing rung rather than mis-reporting.
         let (tier, exec) = match requested {
@@ -545,9 +550,9 @@ impl ParallelEngine {
     /// Measures one solve per *available* tier of `kernel` (scalar,
     /// bulk, SIMD — whichever the kernel and host support) on this
     /// engine's pool and returns the fastest together with the sweep.
-    /// Ties prefer the simpler tier. Under `LDDP_FORCE_TIER` every
-    /// candidate resolves to the forced tier, so exactly one point is
-    /// measured.
+    /// Ties prefer the simpler tier. Under `LDDP_FORCE_TIER` the sweep
+    /// stops at the forced cap: candidates above it resolve to a lower
+    /// tier and are skipped.
     pub fn tune_tier<K: Kernel>(&self, kernel: &K) -> Result<(ExecTier, Vec<TierPoint>)> {
         let mut points = Vec::new();
         for tier in [ExecTier::Scalar, ExecTier::Bulk, ExecTier::Simd] {
@@ -594,97 +599,8 @@ impl ParallelEngine {
     /// assert_eq!(grid.get(7, 3), 35);
     /// ```
     pub fn solve<K: Kernel>(&self, kernel: &K) -> Result<Grid<K::Cell>> {
-        self.solve_traced(kernel, &NullSink)
-    }
-
-    /// Solves under an explicit compatible pattern (e.g. a `{NW}` problem
-    /// under Horizontal, §V-B).
-    pub fn solve_as<K: Kernel>(&self, kernel: &K, pattern: Pattern) -> Result<Grid<K::Cell>> {
-        self.solve_as_traced(kernel, pattern, &NullSink)
-    }
-
-    /// [`solve`](ParallelEngine::solve) with wall-clock instrumentation
-    /// through `sink` (see module docs for what is emitted). A disabled
-    /// sink adds no work.
-    pub fn solve_traced<K: Kernel>(
-        &self,
-        kernel: &K,
-        sink: &dyn TraceSink,
-    ) -> Result<Grid<K::Cell>> {
-        let pattern = classify(kernel.contributing_set())
-            .map(Pattern::canonical)
-            .ok_or(Error::EmptyContributingSet)?;
-        self.solve_as_traced(kernel, pattern, sink)
-    }
-
-    /// [`solve_as`](ParallelEngine::solve_as) with wall-clock
-    /// instrumentation through `sink`.
-    pub fn solve_as_traced<K: Kernel>(
-        &self,
-        kernel: &K,
-        pattern: Pattern,
-        sink: &dyn TraceSink,
-    ) -> Result<Grid<K::Cell>> {
-        self.solve_inner(kernel, pattern, sink, self.threads, None)
-    }
-
-    /// Solves with a [`FaultInjector`] consulted on the pooled path: an
-    /// injected worker panic or bulk fault fails the solve with
-    /// [`Error::ExecutionPanicked`] instead of unwinding the caller,
-    /// and a pool left with dead workers is healed before returning.
-    /// The single-threaded shortcut path is not injectable.
-    pub fn solve_injected<K: Kernel>(
-        &self,
-        kernel: &K,
-        injector: &dyn FaultInjector,
-    ) -> Result<Grid<K::Cell>> {
-        let pattern = classify(kernel.contributing_set())
-            .map(Pattern::canonical)
-            .ok_or(Error::EmptyContributingSet)?;
-        self.solve_inner(kernel, pattern, &NullSink, self.threads, Some(injector))
-    }
-
-    /// Solves with the graceful-degradation ladder: the full
-    /// configuration first, then (when the bulk path was in play) the
-    /// scalar path, then a panic-isolated single-threaded solve that no
-    /// injector touches. Returns the grid together with the rungs taken;
-    /// an empty vector means the first attempt succeeded.
-    pub fn solve_degrading<K: Kernel>(
-        &self,
-        kernel: &K,
-        injector: &dyn FaultInjector,
-    ) -> Result<(Grid<K::Cell>, Vec<DegradeStep>)> {
-        let set = kernel.contributing_set();
-        let pattern = classify(set)
-            .map(Pattern::canonical)
-            .ok_or(Error::EmptyContributingSet)?;
-        let mut steps = Vec::new();
-        match self.solve_inner(kernel, pattern, &NullSink, self.threads, Some(injector)) {
-            Ok(g) => return Ok((g, steps)),
-            Err(Error::ExecutionPanicked { .. }) => {}
-            Err(e) => return Err(e),
-        }
-        let bulk_in_play = self.resolve_exec(kernel, pattern).0 != ExecTier::Scalar;
-        if bulk_in_play {
-            steps.push(DegradeStep::BulkToScalar);
-            let scalar = self.clone().with_bulk_enabled(false);
-            match scalar.solve_inner(kernel, pattern, &NullSink, self.threads, Some(injector)) {
-                Ok(g) => return Ok((g, steps)),
-                Err(Error::ExecutionPanicked { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        steps.push(DegradeStep::ParallelToSequential);
-        let layout = LayoutKind::preferred_for(pattern);
-        match catch_unwind(AssertUnwindSafe(|| {
-            lddp_core::seq::solve_wavefront_as(kernel, pattern, layout)
-        })) {
-            Ok(Ok(g)) => Ok((g, steps)),
-            Ok(Err(e)) => Err(e),
-            Err(_) => Err(Error::ExecutionPanicked {
-                detail: "sequential fallback panicked".into(),
-            }),
-        }
+        let (solved, _) = self.solve_with(kernel, &SolveSpec::default())?;
+        Ok(solved.grid().expect("a full-memory spec yields a grid"))
     }
 
     /// Solves in rolling (wave-band) memory mode: no grid is
@@ -701,76 +617,108 @@ impl ParallelEngine {
         kernel: &K,
         best_of: Option<fn(&K::Cell) -> i64>,
     ) -> Result<RollingSolve<K::Cell>> {
-        self.solve_rolling_inner(kernel, best_of, None, None)
+        let spec = SolveSpec {
+            memory: MemoryMode::Rolling,
+            best_of,
+            ..SolveSpec::default()
+        };
+        let (solved, _) = self.solve_with(kernel, &spec)?;
+        Ok(solved
+            .rolling()
+            .expect("a rolling spec yields a band solve"))
     }
 
-    /// [`solve_rolling`](ParallelEngine::solve_rolling) that streams
-    /// completed wave bands while the pool keeps solving: the schedule
-    /// is cut into `hook.bands` near-equal-cell slices
-    /// ([`lddp_core::rolling::BandSchedule`]) and worker 0 calls
-    /// `hook.emit` behind each band's sealing barrier — solve of band
-    /// `k+1` genuinely overlaps delivery of band `k`, the pipeline
-    /// structure of the Matsumae–Miyazaki GPU path. A blocking `emit`
-    /// (e.g. a full bounded channel) stalls the pool at the next
-    /// barrier, which is exactly the backpressure the serving path
-    /// wants; an `emit` returning `false` (receiver gone) stops further
-    /// emission while the solve runs to completion. The answer is
-    /// bit-identical to [`solve_rolling`](ParallelEngine::solve_rolling)
-    /// — same ring, same run bodies, emission is observation only.
-    pub fn solve_rolling_stream<K: Kernel>(
+    /// The one solve entry: runs `kernel` as `spec` describes and
+    /// returns the answer ([`Solved::Full`] grid or [`Solved::Rolling`]
+    /// band capture, per [`SolveSpec::memory`]) together with the
+    /// degradation rungs taken.
+    ///
+    /// Without an injector the steps are always empty and an execution
+    /// fault fails the solve. With one, the solve walks the graceful
+    /// degradation ladder: the full configuration first, then (when a
+    /// bulk tier was in play) the scalar tier, then a panic-isolated
+    /// single-threaded solve that no injector touches. An injected
+    /// worker panic never unwinds the caller, and a pool left with dead
+    /// workers is healed before the next rung.
+    pub fn solve_with<K: Kernel>(
         &self,
         kernel: &K,
-        best_of: Option<fn(&K::Cell) -> i64>,
-        hook: &StreamHook<'_, K::Cell>,
-    ) -> Result<RollingSolve<K::Cell>> {
-        self.solve_rolling_inner(kernel, best_of, None, Some(hook))
-    }
-
-    /// [`solve_rolling`](ParallelEngine::solve_rolling) with a
-    /// [`FaultInjector`] consulted per (worker, wave), mirroring
-    /// [`solve_injected`](ParallelEngine::solve_injected).
-    pub fn solve_rolling_injected<K: Kernel>(
-        &self,
-        kernel: &K,
-        best_of: Option<fn(&K::Cell) -> i64>,
-        injector: &dyn FaultInjector,
-    ) -> Result<RollingSolve<K::Cell>> {
-        self.solve_rolling_inner(kernel, best_of, Some(injector), None)
-    }
-
-    /// Rolling-mode counterpart of
-    /// [`solve_degrading`](ParallelEngine::solve_degrading): full
-    /// configuration, then scalar tier, then a panic-isolated
-    /// sequential band walk no injector touches.
-    pub fn solve_rolling_degrading<K: Kernel>(
-        &self,
-        kernel: &K,
-        best_of: Option<fn(&K::Cell) -> i64>,
-        injector: &dyn FaultInjector,
-    ) -> Result<(RollingSolve<K::Cell>, Vec<DegradeStep>)> {
-        let mut steps = Vec::new();
-        match self.solve_rolling_inner(kernel, best_of, Some(injector), None) {
-            Ok(r) => return Ok((r, steps)),
-            Err(Error::ExecutionPanicked { .. }) => {}
-            Err(e) => return Err(e),
+        spec: &SolveSpec<'_, K::Cell>,
+    ) -> Result<(Solved<K::Cell>, Vec<DegradeStep>)> {
+        let active = spec.threads.unwrap_or(self.threads);
+        let injector = spec.injector;
+        match spec.memory {
+            MemoryMode::Full => {
+                let pattern = match spec.pattern {
+                    Some(pattern) => pattern,
+                    None => classify(kernel.contributing_set())
+                        .map(Pattern::canonical)
+                        .ok_or(Error::EmptyContributingSet)?,
+                };
+                let (grid, steps) = self.ladder(
+                    kernel,
+                    pattern,
+                    injector,
+                    |e| e.solve_inner(kernel, pattern, spec.sink, active, injector),
+                    || {
+                        let layout = LayoutKind::preferred_for(pattern);
+                        lddp_core::seq::solve_wavefront_as(kernel, pattern, layout)
+                    },
+                )?;
+                Ok((Solved::Full(grid), steps))
+            }
+            MemoryMode::Rolling => {
+                if let Some(pattern) = spec.pattern.filter(|&p| p != Pattern::AntiDiagonal) {
+                    return Err(Error::PlanMismatch {
+                        expected: "anti-diagonal execution (rolling wave-band mode)".into(),
+                        found: format!("{pattern}"),
+                    });
+                }
+                let (band, steps) = self.ladder(
+                    kernel,
+                    Pattern::AntiDiagonal,
+                    injector,
+                    |e| e.solve_rolling_inner(kernel, spec.best_of, active, injector, spec.stream),
+                    || Self::rolling_sequential(kernel, Some(ExecTier::Scalar), spec.best_of, None),
+                )?;
+                Ok((Solved::Rolling(band), steps))
+            }
         }
-        if self.resolve_exec(kernel, Pattern::AntiDiagonal).0 != ExecTier::Scalar {
+    }
+
+    /// Runs `attempt` on this engine and — only when an injector is
+    /// attached — walks the degradation ladder on an injected panic:
+    /// `attempt` again pinned to the scalar tier (if a bulk tier was in
+    /// play for `pattern`), then `sequential` under `catch_unwind`.
+    fn ladder<K: Kernel, R>(
+        &self,
+        kernel: &K,
+        pattern: Pattern,
+        injector: Option<&dyn FaultInjector>,
+        attempt: impl Fn(&ParallelEngine) -> Result<R>,
+        sequential: impl FnOnce() -> Result<R>,
+    ) -> Result<(R, Vec<DegradeStep>)> {
+        let mut steps = Vec::new();
+        let first = attempt(self);
+        if injector.is_none() {
+            return first.map(|r| (r, steps));
+        }
+        match first {
+            Err(Error::ExecutionPanicked { .. }) => {}
+            other => return other.map(|r| (r, steps)),
+        }
+        if self.resolve_exec(kernel, pattern).0 != ExecTier::Scalar {
             steps.push(DegradeStep::BulkToScalar);
-            let scalar = self.clone().with_bulk_enabled(false);
-            match scalar.solve_rolling_inner(kernel, best_of, Some(injector), None) {
-                Ok(r) => return Ok((r, steps)),
+            match attempt(&self.clone().with_tier(Some(ExecTier::Scalar))) {
                 Err(Error::ExecutionPanicked { .. }) => {}
-                Err(e) => return Err(e),
+                other => return other.map(|r| (r, steps)),
             }
         }
         steps.push(DegradeStep::ParallelToSequential);
-        match catch_unwind(AssertUnwindSafe(|| {
-            Self::rolling_sequential(kernel, Some(ExecTier::Scalar), best_of, None)
-        })) {
-            Ok(Ok(r)) => Ok((r, steps)),
-            Ok(Err(e)) => Err(e),
+        match catch_unwind(AssertUnwindSafe(sequential)) {
+            Ok(r) => r.map(|r| (r, steps)),
             Err(_) => Err(Error::ExecutionPanicked {
-                detail: "sequential rolling fallback panicked".into(),
+                detail: "sequential fallback panicked".into(),
             }),
         }
     }
@@ -839,20 +787,7 @@ impl ParallelEngine {
                 "Peak DP working-set bytes of the most recent solve, by memory mode.",
             )
             .set(peak_bytes as f64);
-            live.counter(
-                "lddp_pool_solves_total",
-                &[("tier", tier.as_str())],
-                "Pooled solves completed, by execution tier.",
-            )
-            .inc();
-            live.counter("lddp_pool_waves_total", &[], "Waves executed by the pool.")
-                .add(waves as u64);
-            live.counter(
-                "lddp_pool_cells_total",
-                &[],
-                "Grid cells computed by the pool.",
-            )
-            .add(cells as u64);
+            record_pool_solve(live, tier, waves, cells);
         }
     }
 
@@ -860,6 +795,7 @@ impl ParallelEngine {
         &self,
         kernel: &K,
         best_of: Option<fn(&K::Cell) -> i64>,
+        active: usize,
         injector: Option<&dyn FaultInjector>,
         stream: Option<&StreamHook<'_, K::Cell>>,
     ) -> Result<RollingSolve<K::Cell>> {
@@ -886,7 +822,7 @@ impl ParallelEngine {
         }
         let (rows, cols) = (dims.rows, dims.cols);
         let band = rows.min(cols);
-        let threads = self.threads.min(band).max(1);
+        let threads = active.min(self.threads).min(band).max(1);
 
         // One worker: compute inline — the pool cannot win (same
         // reasoning as the full-table single-thread bypasses). Faulted
@@ -1097,21 +1033,6 @@ impl ParallelEngine {
         })
     }
 
-    /// Solves with at most `active` workers drawn from the engine's
-    /// pool (clamped to `1..=threads()`). This is what a worker-count
-    /// sweep should call: every candidate reuses the same long-lived
-    /// threads instead of paying spawn/join per measurement.
-    pub fn solve_with_threads<K: Kernel>(
-        &self,
-        kernel: &K,
-        active: usize,
-    ) -> Result<Grid<K::Cell>> {
-        let pattern = classify(kernel.contributing_set())
-            .map(Pattern::canonical)
-            .ok_or(Error::EmptyContributingSet)?;
-        self.solve_inner(kernel, pattern, &NullSink, active, None)
-    }
-
     /// Sweeps active worker counts over the shared pool and returns the
     /// fastest (`best`, full sweep), measuring one solve per candidate.
     /// Candidates are clamped to `1..=threads()` and deduplicated after
@@ -1137,8 +1058,12 @@ impl ParallelEngine {
                 continue;
             }
             seen.push(c);
+            let spec = SolveSpec {
+                threads: Some(c),
+                ..SolveSpec::default()
+            };
             let t0 = Instant::now();
-            self.solve_with_threads(kernel, c)?;
+            self.solve_with(kernel, &spec)?;
             sweep.push(SweepPoint {
                 value: c,
                 time: t0.elapsed().as_secs_f64(),
@@ -1335,20 +1260,7 @@ impl ParallelEngine {
                     "Cumulative compute time per pool worker.",
                 )
                 .add(busy_s);
-                live.counter(
-                    "lddp_pool_solves_total",
-                    &[("tier", tier.as_str())],
-                    "Pooled solves completed, by execution tier.",
-                )
-                .inc();
-                live.counter("lddp_pool_waves_total", &[], "Waves executed by the pool.")
-                    .add(num_waves as u64);
-                live.counter(
-                    "lddp_pool_cells_total",
-                    &[],
-                    "Grid cells computed by the pool.",
-                )
-                .add(dims.len() as u64);
+                record_pool_solve(live, tier, num_waves, dims.len());
             }
             return Ok(grid);
         }
@@ -1520,24 +1432,30 @@ impl ParallelEngine {
                     waits.observe(wait_s);
                 }
             }
-            live.counter(
-                "lddp_pool_solves_total",
-                &[("tier", tier.as_str())],
-                "Pooled solves completed, by execution tier.",
-            )
-            .inc();
-            live.counter("lddp_pool_waves_total", &[], "Waves executed by the pool.")
-                .add(num_waves as u64);
-            live.counter(
-                "lddp_pool_cells_total",
-                &[],
-                "Grid cells computed by the pool.",
-            )
-            .add(dims.len() as u64);
+            record_pool_solve(live, tier, num_waves, dims.len());
         }
 
         Ok(grid)
     }
+}
+
+/// Counts one completed solve in the pool families every solve path
+/// reports: solves by tier, waves and cells.
+fn record_pool_solve(live: &LiveRegistry, tier: ExecTier, waves: usize, cells: usize) {
+    live.counter(
+        "lddp_pool_solves_total",
+        &[("tier", tier.as_str())],
+        "Pooled solves completed, by execution tier.",
+    )
+    .inc();
+    live.counter("lddp_pool_waves_total", &[], "Waves executed by the pool.")
+        .add(waves as u64);
+    live.counter(
+        "lddp_pool_cells_total",
+        &[],
+        "Grid cells computed by the pool.",
+    )
+    .add(cells as u64);
 }
 
 impl Default for ParallelEngine {
@@ -1546,8 +1464,91 @@ impl Default for ParallelEngine {
     }
 }
 
-/// How a streaming rolling solve emits its bands — the argument of
-/// [`ParallelEngine::solve_rolling_stream`].
+/// What one [`ParallelEngine::solve_with`] call runs. `Default` is a
+/// plain full-table solve: canonical pattern, every worker, no
+/// injector, no tracing.
+pub struct SolveSpec<'a, C> {
+    /// [`MemoryMode::Full`] materializes the grid ([`Solved::Full`]);
+    /// [`MemoryMode::Rolling`] keeps only the three-band ring
+    /// ([`Solved::Rolling`]) and rejects non-anti-diagonal kernels.
+    pub memory: MemoryMode,
+    /// Execution pattern; `None` executes the set's classified
+    /// canonical pattern. A full-table solve accepts any compatible
+    /// pattern (e.g. a `{NW}` problem under Horizontal, §V-B); a
+    /// rolling solve only anti-diagonal.
+    pub pattern: Option<Pattern>,
+    /// Rolling only: score whose arg-best cell the band walk captures
+    /// (the Smith–Waterman endpoint).
+    pub best_of: Option<fn(&C) -> i64>,
+    /// Rolling only: streams sealed wave bands while the pool keeps
+    /// solving. The schedule is cut into `hook.bands` near-equal-cell
+    /// slices ([`lddp_core::rolling::BandSchedule`]) and worker 0 calls
+    /// `hook.emit` behind each band's sealing barrier — solve of band
+    /// `k+1` overlaps delivery of band `k`, the pipeline structure of
+    /// the Matsumae–Miyazaki GPU path. A blocking `emit` (e.g. a full
+    /// bounded channel) stalls the pool at the next barrier, which is
+    /// the backpressure the serving path wants; an `emit` returning
+    /// `false` stops further emission while the solve completes. The
+    /// answer is bit-identical to an unstreamed solve — emission is
+    /// observation only. A degraded rung re-emits from band 0.
+    pub stream: Option<&'a StreamHook<'a, C>>,
+    /// Fault injector consulted per (worker, wave) on the pooled path;
+    /// `Some` runs the degradation ladder (see
+    /// [`ParallelEngine::solve_with`]). The single-threaded shortcut
+    /// path is not injectable.
+    pub injector: Option<&'a dyn FaultInjector>,
+    /// Full-table only: wall-clock instrumentation sink (see module
+    /// docs). A disabled sink adds no work.
+    pub sink: &'a dyn TraceSink,
+    /// Workers drawn from the engine's pool, clamped to
+    /// `1..=threads()`; `None` uses them all. A worker-count sweep sets
+    /// this so every candidate reuses the same long-lived threads.
+    pub threads: Option<usize>,
+}
+
+impl<C> Default for SolveSpec<'_, C> {
+    fn default() -> Self {
+        SolveSpec {
+            memory: MemoryMode::Full,
+            pattern: None,
+            best_of: None,
+            stream: None,
+            injector: None,
+            sink: &NullSink,
+            threads: None,
+        }
+    }
+}
+
+/// The answer of a [`ParallelEngine::solve_with`] call, by memory mode.
+#[derive(Debug)]
+pub enum Solved<C> {
+    /// The materialized grid of a [`MemoryMode::Full`] solve.
+    Full(Grid<C>),
+    /// The band capture of a [`MemoryMode::Rolling`] solve.
+    Rolling(RollingSolve<C>),
+}
+
+impl<C> Solved<C> {
+    /// The grid of a full-table solve (`None` for a rolling one).
+    pub fn grid(self) -> Option<Grid<C>> {
+        match self {
+            Solved::Full(grid) => Some(grid),
+            Solved::Rolling(_) => None,
+        }
+    }
+
+    /// The band capture of a rolling solve (`None` for a full one).
+    pub fn rolling(self) -> Option<RollingSolve<C>> {
+        match self {
+            Solved::Full(_) => None,
+            Solved::Rolling(band) => Some(band),
+        }
+    }
+}
+
+/// How a streaming rolling solve emits its bands — see
+/// [`SolveSpec::stream`].
 pub struct StreamHook<'a, C> {
     /// Requested band count; the schedule clamps it to the wave count,
     /// so tiny grids emit fewer (but at least one) bands.
@@ -1589,6 +1590,84 @@ mod tests {
     use lddp_core::seq::solve_row_major;
     use lddp_core::wavefront::Dims;
     use lddp_trace::Recorder;
+
+    /// Full-table solve under an explicit pattern, through the spec.
+    fn solve_as<K: Kernel>(e: &ParallelEngine, k: &K, pattern: Pattern) -> Result<Grid<K::Cell>> {
+        let spec = SolveSpec {
+            pattern: Some(pattern),
+            ..SolveSpec::default()
+        };
+        e.solve_with(k, &spec).map(|(s, _)| s.grid().unwrap())
+    }
+
+    /// Full-table solve instrumented through `sink`.
+    fn solve_traced<K: Kernel>(
+        e: &ParallelEngine,
+        k: &K,
+        sink: &dyn TraceSink,
+    ) -> Result<Grid<K::Cell>> {
+        let spec = SolveSpec {
+            sink,
+            ..SolveSpec::default()
+        };
+        e.solve_with(k, &spec).map(|(s, _)| s.grid().unwrap())
+    }
+
+    /// Full-table solve on at most `active` pool workers.
+    fn solve_active<K: Kernel>(e: &ParallelEngine, k: &K, active: usize) -> Result<Grid<K::Cell>> {
+        let spec = SolveSpec {
+            threads: Some(active),
+            ..SolveSpec::default()
+        };
+        e.solve_with(k, &spec).map(|(s, _)| s.grid().unwrap())
+    }
+
+    /// Full-table solve down the degradation ladder.
+    fn solve_degrading<K: Kernel>(
+        e: &ParallelEngine,
+        k: &K,
+        injector: &dyn lddp_chaos::FaultInjector,
+    ) -> Result<(Grid<K::Cell>, Vec<DegradeStep>)> {
+        let spec = SolveSpec {
+            injector: Some(injector),
+            ..SolveSpec::default()
+        };
+        e.solve_with(k, &spec)
+            .map(|(s, steps)| (s.grid().unwrap(), steps))
+    }
+
+    /// Rolling solve down the degradation ladder.
+    fn solve_rolling_degrading<K: Kernel>(
+        e: &ParallelEngine,
+        k: &K,
+        best_of: Option<fn(&K::Cell) -> i64>,
+        injector: &dyn lddp_chaos::FaultInjector,
+    ) -> Result<(RollingSolve<K::Cell>, Vec<DegradeStep>)> {
+        let spec = SolveSpec {
+            memory: MemoryMode::Rolling,
+            best_of,
+            injector: Some(injector),
+            ..SolveSpec::default()
+        };
+        e.solve_with(k, &spec)
+            .map(|(s, steps)| (s.rolling().unwrap(), steps))
+    }
+
+    /// Rolling solve streaming its bands through `hook`.
+    fn solve_rolling_stream<K: Kernel>(
+        e: &ParallelEngine,
+        k: &K,
+        best_of: Option<fn(&K::Cell) -> i64>,
+        hook: &StreamHook<'_, K::Cell>,
+    ) -> Result<RollingSolve<K::Cell>> {
+        let spec = SolveSpec {
+            memory: MemoryMode::Rolling,
+            best_of,
+            stream: Some(hook),
+            ..SolveSpec::default()
+        };
+        e.solve_with(k, &spec).map(|(s, _)| s.rolling().unwrap())
+    }
 
     fn mix_kernel(
         dims: Dims,
@@ -1735,9 +1814,7 @@ mod tests {
     fn incompatible_pattern_is_rejected() {
         let set = ContributingSet::new(&[RepCell::W, RepCell::N]);
         let kernel = mix_kernel(Dims::new(4, 4), set);
-        assert!(ParallelEngine::new(2)
-            .solve_as(&kernel, Pattern::Horizontal)
-            .is_err());
+        assert!(solve_as(&ParallelEngine::new(2), &kernel, Pattern::Horizontal).is_err());
     }
 
     #[test]
@@ -1746,12 +1823,8 @@ mod tests {
         let dims = Dims::new(17, 9);
         let kernel = mix_kernel(dims, set);
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
-        let il = ParallelEngine::new(4)
-            .solve_as(&kernel, Pattern::InvertedL)
-            .unwrap();
-        let h1 = ParallelEngine::new(4)
-            .solve_as(&kernel, Pattern::Horizontal)
-            .unwrap();
+        let il = solve_as(&ParallelEngine::new(4), &kernel, Pattern::InvertedL).unwrap();
+        let h1 = solve_as(&ParallelEngine::new(4), &kernel, Pattern::Horizontal).unwrap();
         assert_eq!(il.to_row_major(), oracle);
         assert_eq!(h1.to_row_major(), oracle);
     }
@@ -1805,9 +1878,7 @@ mod tests {
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
         let threads = 3;
         let rec = Recorder::new();
-        let got = ParallelEngine::new(threads)
-            .solve_traced(&kernel, &rec)
-            .unwrap();
+        let got = solve_traced(&ParallelEngine::new(threads), &kernel, &rec).unwrap();
         assert_eq!(got.to_row_major(), oracle);
 
         let data = rec.snapshot();
@@ -1869,7 +1940,7 @@ mod tests {
         let kernel = mix_kernel(dims, set);
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
         let rec = Recorder::new();
-        let got = ParallelEngine::new(1).solve_traced(&kernel, &rec).unwrap();
+        let got = solve_traced(&ParallelEngine::new(1), &kernel, &rec).unwrap();
         assert_eq!(got.to_row_major(), oracle);
         let data = rec.snapshot();
         assert_eq!(data.counters["parallel.workers"], 1);
@@ -1881,9 +1952,7 @@ mod tests {
         let set = ContributingSet::new(&[RepCell::W, RepCell::N]);
         let kernel = mix_kernel(Dims::new(16, 16), set);
         let a = ParallelEngine::new(4).solve(&kernel).unwrap();
-        let b = ParallelEngine::new(4)
-            .solve_traced(&kernel, &NullSink)
-            .unwrap();
+        let b = solve_traced(&ParallelEngine::new(4), &kernel, &NullSink).unwrap();
         assert_eq!(a.to_row_major(), b.to_row_major());
     }
 
@@ -1905,7 +1974,7 @@ mod tests {
                 for threads in [1, 2, 5] {
                     let bulk = ParallelEngine::new(threads).solve(&kernel).unwrap();
                     let scalar = ParallelEngine::new(threads)
-                        .with_bulk_enabled(false)
+                        .with_tier(Some(ExecTier::Scalar))
                         .solve(&kernel)
                         .unwrap();
                     assert_eq!(bulk.to_row_major(), oracle, "{set} {r}x{c} t={threads}");
@@ -1928,9 +1997,7 @@ mod tests {
             set: ContributingSet::new(&[RepCell::Nw]),
         };
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
-        let got = ParallelEngine::new(4)
-            .solve_as(&kernel, Pattern::Horizontal)
-            .unwrap();
+        let got = solve_as(&ParallelEngine::new(4), &kernel, Pattern::Horizontal).unwrap();
         assert_eq!(got.to_row_major(), oracle);
     }
 
@@ -1942,7 +2009,7 @@ mod tests {
         };
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
         let rec = Recorder::new();
-        let got = ParallelEngine::new(3).solve_traced(&kernel, &rec).unwrap();
+        let got = solve_traced(&ParallelEngine::new(3), &kernel, &rec).unwrap();
         assert_eq!(got.to_row_major(), oracle);
         let data = rec.snapshot();
         let mut cells = 0u64;
@@ -1959,7 +2026,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_with_threads_clamps_and_matches() {
+    fn worker_count_spec_clamps_and_matches() {
         let kernel = BulkMix {
             dims: Dims::new(29, 31),
             set: ContributingSet::new(&[RepCell::W, RepCell::Nw, RepCell::N]),
@@ -1967,7 +2034,7 @@ mod tests {
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
         let engine = ParallelEngine::new(4);
         for active in [0, 1, 3, 4, 64] {
-            let got = engine.solve_with_threads(&kernel, active).unwrap();
+            let got = solve_active(&engine, &kernel, active).unwrap();
             assert_eq!(got.to_row_major(), oracle, "active={active}");
         }
     }
@@ -2007,13 +2074,6 @@ mod tests {
         let clone = engine.clone();
         clone.solve(&kernel).unwrap();
         assert!(Arc::ptr_eq(engine.pool(), clone.pool()));
-    }
-
-    #[test]
-    fn bulk_flag_roundtrip() {
-        let engine = ParallelEngine::new(2);
-        assert!(engine.bulk_enabled());
-        assert!(!engine.clone().with_bulk_enabled(false).bulk_enabled());
     }
 
     /// [`BulkMix`] plus a SIMD hook whose "vector" body is the bulk
@@ -2119,13 +2179,6 @@ mod tests {
         );
         // A bit-parallel pin is answer-level, not an engine tier: auto.
         assert_eq!(pin(ExecTier::BitParallel).select_tier(&simd_mix), simd_auto);
-        // Disabling bulk forces scalar regardless of pins.
-        assert_eq!(
-            pin(ExecTier::Simd)
-                .with_bulk_enabled(false)
-                .select_tier(&simd_mix),
-            ExecTier::Scalar
-        );
         assert_eq!(engine.tier_override(), None);
         assert_eq!(
             engine
@@ -2134,6 +2187,41 @@ mod tests {
                 .tier_override(),
             Some(ExecTier::Simd)
         );
+    }
+
+    #[test]
+    fn tier_caps_compose_and_the_lower_one_wins() {
+        use ExecTier::*;
+        let caps = [
+            None,
+            Some(Scalar),
+            Some(Bulk),
+            Some(Simd),
+            Some(BitParallel),
+        ];
+        for available in [Scalar, Bulk, Simd] {
+            for env in caps {
+                for pin in caps {
+                    let got = requested_tier(available, env, pin);
+                    assert!(got <= available, "{available:?} {env:?} {pin:?}");
+                    for cap in [env, pin].into_iter().flatten() {
+                        assert!(got <= cap, "{available:?} {env:?} {pin:?}");
+                    }
+                    // The result is one of the bounds, never below all
+                    // of them.
+                    assert!(
+                        [Some(available), env, pin].contains(&Some(got)),
+                        "{available:?} {env:?} {pin:?}"
+                    );
+                }
+            }
+        }
+        // The env value caps; it never overrides a lower pin.
+        assert_eq!(requested_tier(Simd, Some(Simd), Some(Scalar)), Scalar);
+        assert_eq!(requested_tier(Simd, Some(Bulk), Some(Simd)), Bulk);
+        // A bit-parallel cap is no cap.
+        assert_eq!(requested_tier(Simd, Some(BitParallel), None), Simd);
+        assert_eq!(requested_tier(Bulk, None, Some(BitParallel)), Bulk);
     }
 
     #[test]
@@ -2163,7 +2251,7 @@ mod tests {
         let rec = Recorder::new();
         let engine = ParallelEngine::new(3);
         let tier = engine.select_tier(&kernel);
-        engine.solve_traced(&kernel, &rec).unwrap();
+        solve_traced(&engine, &kernel, &rec).unwrap();
         let data = rec.snapshot();
         assert_eq!(data.counters[&format!("parallel.tier.{tier}")], 1);
         let wave_spans: Vec<_> = data.spans.iter().filter(|s| s.name == "wave").collect();
@@ -2250,12 +2338,15 @@ mod tests {
             panic_worker: Some((1, 5)),
             bulk_fail_wave: None,
         };
-        assert!(matches!(
-            engine.solve_injected(&kernel, &inj),
-            Err(Error::ExecutionPanicked { .. })
-        ));
-        // The same engine (and its pool) must serve the next solve.
+        // The pooled attempt panics; a scalar-only kernel has no bulk
+        // rung, so the ladder goes straight to the sequential solve.
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
+        let (grid, steps) = solve_degrading(&engine, &kernel, &inj).unwrap();
+        assert_eq!(grid.to_row_major(), oracle);
+        assert_eq!(steps, vec![DegradeStep::ParallelToSequential]);
+        // The panic left no dead workers, and the same engine (and its
+        // pool) serves the next solve.
+        assert_eq!(engine.pool_dead_workers(), 0);
         assert_eq!(engine.solve(&kernel).unwrap().to_row_major(), oracle);
     }
 
@@ -2271,7 +2362,7 @@ mod tests {
             panic_worker: None,
             bulk_fail_wave: Some(2),
         };
-        let (grid, steps) = engine.solve_degrading(&kernel, &inj).unwrap();
+        let (grid, steps) = solve_degrading(&engine, &kernel, &inj).unwrap();
         assert_eq!(grid.to_row_major(), oracle);
         // Bulk failed, scalar succeeded: exactly one rung taken.
         assert_eq!(steps, vec![DegradeStep::BulkToScalar]);
@@ -2294,7 +2385,7 @@ mod tests {
         };
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
         let engine = ParallelEngine::new(3);
-        let (grid, steps) = engine.solve_degrading(&kernel, &AlwaysPanic).unwrap();
+        let (grid, steps) = solve_degrading(&engine, &kernel, &AlwaysPanic).unwrap();
         assert_eq!(grid.to_row_major(), oracle);
         assert_eq!(
             steps,
@@ -2318,10 +2409,7 @@ mod tests {
         // correct, with a NullSink and with 1 active worker.
         assert_eq!(engine.solve(&kernel).unwrap().to_row_major(), oracle);
         assert_eq!(
-            engine
-                .solve_with_threads(&kernel, 1)
-                .unwrap()
-                .to_row_major(),
+            solve_active(&engine, &kernel, 1).unwrap().to_row_major(),
             oracle
         );
         let text = reg.to_prometheus();
@@ -2389,7 +2477,7 @@ mod tests {
         // Tracing at 1 thread records wave spans without the pool too.
         let rec = Recorder::new();
         let engine = ParallelEngine::new(1);
-        let got = engine.solve_traced(&kernel, &rec).unwrap();
+        let got = solve_traced(&engine, &kernel, &rec).unwrap();
         assert_eq!(got.to_row_major(), oracle);
         assert!(engine.pool.get().is_none());
         // New accessors report a pool that was never created as healthy.
@@ -2407,7 +2495,8 @@ mod tests {
             panic_worker: Some((1, 5)),
             bulk_fail_wave: None,
         };
-        assert!(engine.solve_injected(&kernel, &inj).is_err());
+        let (_, steps) = solve_degrading(&engine, &kernel, &inj).unwrap();
+        assert_eq!(steps, vec![DegradeStep::ParallelToSequential]);
         let text = reg.to_prometheus();
         assert!(
             text.contains("lddp_chaos_injected_total{site=\"worker_panic\"} 1"),
@@ -2421,13 +2510,7 @@ mod tests {
         let kernel = mix_kernel(Dims::new(16, 16), set);
         let oracle = solve_row_major(&kernel).unwrap().to_row_major();
         let engine = ParallelEngine::new(3);
-        let grid = engine
-            .solve_injected(&kernel, &lddp_chaos::NoFaults)
-            .unwrap();
-        assert_eq!(grid.to_row_major(), oracle);
-        let (grid, steps) = engine
-            .solve_degrading(&kernel, &lddp_chaos::NoFaults)
-            .unwrap();
+        let (grid, steps) = solve_degrading(&engine, &kernel, &lddp_chaos::NoFaults).unwrap();
         assert_eq!(grid.to_row_major(), oracle);
         assert!(steps.is_empty());
     }
@@ -2502,9 +2585,8 @@ mod tests {
                             true
                         },
                     };
-                    let got = engine
-                        .solve_rolling_stream(&kernel, Some(cell_score), &hook)
-                        .unwrap();
+                    let got =
+                        solve_rolling_stream(&engine, &kernel, Some(cell_score), &hook).unwrap();
                     let label = format!("{rows}x{cols} threads={threads} bands={bands}");
                     assert_eq!(got.corner, want.corner, "{label}");
                     assert_eq!(got.best, want.best, "{label}");
@@ -2545,9 +2627,7 @@ mod tests {
             emit: &|_| seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst) < 2,
         };
         // The solve still finishes exactly even after the consumer bails.
-        let got = engine
-            .solve_rolling_stream(&kernel, Some(cell_score), &hook)
-            .unwrap();
+        let got = solve_rolling_stream(&engine, &kernel, Some(cell_score), &hook).unwrap();
         assert_eq!(got.corner, want.corner);
         assert_eq!(got.best, want.best);
         assert_eq!(seen.load(std::sync::atomic::Ordering::SeqCst), 3);
@@ -2578,9 +2658,7 @@ mod tests {
             panic_worker: None,
             bulk_fail_wave: Some(3),
         };
-        let (r, steps) = engine
-            .solve_rolling_degrading(&kernel, Some(cell_score), &inj)
-            .unwrap();
+        let (r, steps) = solve_rolling_degrading(&engine, &kernel, Some(cell_score), &inj).unwrap();
         assert_eq!(r.corner, Some(want));
         assert!(r.best.is_some());
         assert_eq!(steps, vec![DegradeStep::BulkToScalar]);
@@ -2595,20 +2673,13 @@ mod tests {
                 wave == 0
             }
         }
-        let (r, steps) = engine
-            .solve_rolling_degrading(&kernel, None, &AlwaysPanic)
-            .unwrap();
+        let (r, steps) = solve_rolling_degrading(&engine, &kernel, None, &AlwaysPanic).unwrap();
         assert_eq!(r.corner, Some(want));
         assert_eq!(
             steps,
             vec![DegradeStep::BulkToScalar, DegradeStep::ParallelToSequential]
         );
-        // A plain injected rolling solve surfaces the panic as an error
-        // and leaves the engine healthy.
-        assert!(matches!(
-            engine.solve_rolling_injected(&kernel, None, &AlwaysPanic),
-            Err(Error::ExecutionPanicked { .. })
-        ));
+        // The panicking rungs left the engine healthy.
         assert_eq!(engine.pool_dead_workers(), 0);
         assert_eq!(
             engine.solve_rolling(&kernel, None).unwrap().corner,
@@ -2630,7 +2701,7 @@ mod tests {
         assert!(!engine.pool_started(), "1-worker plan spun up the pool");
         // A wider engine clamped to one active worker also stays inline…
         let wide = ParallelEngine::new(4);
-        wide.solve_with_threads(&kernel, 1).unwrap();
+        solve_active(&wide, &kernel, 1).unwrap();
         assert!(!wide.pool_started(), "active=1 plan spun up the pool");
         // …and only a genuinely multi-worker plan pays for the pool.
         wide.solve(&kernel).unwrap();

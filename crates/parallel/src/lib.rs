@@ -15,5 +15,5 @@ pub mod engine;
 pub mod pool;
 
 pub use cache_oblivious::CacheObliviousEngine;
-pub use engine::{ParallelEngine, RollingSolve, StreamHook};
+pub use engine::{ParallelEngine, RollingSolve, SolveSpec, Solved, StreamHook};
 pub use pool::{chunk_aligned, PoolError, SenseBarrier, WorkerPool};

@@ -1,5 +1,5 @@
 //! Floyd–Steinberg error-diffusion dithering — the paper's §VI-B case
-//! study (knight-move pattern), after Deshpande et al. [11].
+//! study (knight-move pattern), after Deshpande et al. \[11\].
 //!
 //! Each pixel is quantized against a threshold; the quantization error is
 //! diffused to the East (7/16), South-West (3/16), South (5/16) and

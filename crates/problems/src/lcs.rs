@@ -1,9 +1,9 @@
 //! Longest common subsequence — the problem behind the paper's Fig 7
 //! tuning experiment (anti-diagonal pattern), plus the Allison–Dix
-//! bit-parallel algorithm [1] as the "fast problem-specific solution"
+//! bit-parallel algorithm \[1\] as the "fast problem-specific solution"
 //! the introduction contrasts the generic framework against.
 //!
-//! [1] L. Allison, T. I. Dix, *A bit-string longest-common-subsequence
+//! \[1\] L. Allison, T. I. Dix, *A bit-string longest-common-subsequence
 //! algorithm*, Inf. Process. Lett. 23(6), 1986.
 
 use crate::simd;

@@ -9,9 +9,9 @@
 //! and, within a class, picks the earliest-deadline job as the batch
 //! leader (EDF; deadline-free jobs run FIFO after every deadlined one).
 //! The leader then *gathers* other queued jobs with the same
-//! [`BatchKey`] — rotating across tenants so one tenant's sweep cannot
-//! monopolize a shared batch — up to the batch cap, so one tuner
-//! artifact is amortized across the group.
+//! [`BatchKey`](crate::BatchKey) — rotating across tenants so one
+//! tenant's sweep cannot monopolize a shared batch — up to the batch
+//! cap, so one tuner artifact is amortized across the group.
 
 use crate::job::{Priority, RejectReason, ServeError, SolveRequest, SolveResponse};
 use std::collections::VecDeque;
@@ -85,13 +85,6 @@ pub struct JobQueue {
 const RESTRICTED_NAP: Duration = Duration::from_millis(25);
 
 impl JobQueue {
-    /// An open queue giving *each class* a budget of `capacity` jobs —
-    /// the single-budget constructor kept for callers that predate
-    /// service classes.
-    pub fn new(capacity: usize) -> JobQueue {
-        JobQueue::with_budgets(capacity, capacity)
-    }
-
     /// An open queue admitting at most `interactive` interactive-class
     /// and `batch` batch-class jobs.
     pub fn with_budgets(interactive: usize, batch: usize) -> JobQueue {
@@ -136,11 +129,11 @@ impl JobQueue {
     /// Blocks until work is available, then returns a batch led by the
     /// earliest-deadline live job of the highest non-empty class
     /// (interactive strictly before batch) plus up to `max_batch - 1`
-    /// same-[`BatchKey`] followers gathered tenant-fair — and,
-    /// separately, every queued job whose deadline expired while it
-    /// waited. Expired jobs are shed *here*, at pop time, so they never
-    /// occupy a solve slot; the caller answers them with
-    /// `DeadlineExceeded` (a 504 on the wire) without solving. The
+    /// same-[`BatchKey`](crate::BatchKey) followers gathered
+    /// tenant-fair — and, separately, every queued job whose deadline
+    /// expired while it waited. Expired jobs are shed *here*, at pop
+    /// time, so they never occupy a solve slot; the caller answers them
+    /// with `DeadlineExceeded` (a 504 on the wire) without solving. The
     /// returned batch may be empty when a wake-up only shed expired
     /// work. Returns `None` once the queue is closed *and* empty (drain
     /// complete) — the worker-pool exit signal.
@@ -353,7 +346,7 @@ mod tests {
 
     #[test]
     fn push_rejects_when_full_and_when_closed() {
-        let q = JobQueue::new(2);
+        let q = JobQueue::with_budgets(2, 2);
         let (a, _ra) = job(1, "lcs", 64);
         let (b, _rb) = job(2, "lcs", 64);
         let (c, _rc) = job(3, "lcs", 64);
@@ -396,7 +389,7 @@ mod tests {
 
     #[test]
     fn pop_batch_gathers_same_key_and_preserves_leader_order() {
-        let q = JobQueue::new(16);
+        let q = JobQueue::with_budgets(16, 16);
         let mut rxs = Vec::new();
         for (id, problem, n) in [
             (1, "lcs", 100), // bucket 128
@@ -422,7 +415,7 @@ mod tests {
 
     #[test]
     fn pop_batch_respects_max_batch() {
-        let q = JobQueue::new(16);
+        let q = JobQueue::with_budgets(16, 16);
         for id in 0..6 {
             let (j, rx) = job(id, "lcs", 64);
             std::mem::forget(rx);
@@ -439,7 +432,7 @@ mod tests {
 
     #[test]
     fn explicit_params_do_not_batch_with_tuned() {
-        let q = JobQueue::new(16);
+        let q = JobQueue::with_budgets(16, 16);
         let (a, _ra) = job(1, "lcs", 64);
         let (mut b, _rb) = job(2, "lcs", 64);
         b.req.params = Some(ScheduleParams::new(2, 8));
@@ -451,7 +444,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_signals_exit() {
-        let q = JobQueue::new(4);
+        let q = JobQueue::with_budgets(4, 4);
         let (a, _ra) = job(1, "lcs", 64);
         q.push(a).unwrap();
         q.close();
@@ -463,7 +456,7 @@ mod tests {
 
     #[test]
     fn shutdown_during_drain_serves_queued_and_rejects_new() {
-        let q = JobQueue::new(8);
+        let q = JobQueue::with_budgets(8, 8);
         let mut rxs = Vec::new();
         for id in 0..5 {
             let (j, rx) = job(id, "lcs", 64);
@@ -488,7 +481,7 @@ mod tests {
 
     #[test]
     fn expired_jobs_are_shed_at_pop_without_occupying_the_batch() {
-        let q = JobQueue::new(8);
+        let q = JobQueue::with_budgets(8, 8);
         let (mut dead, _rd) = job(1, "lcs", 64);
         dead.deadline = Some(Instant::now());
         let (live, _rl) = job(2, "lcs", 64);
@@ -504,7 +497,7 @@ mod tests {
 
     #[test]
     fn all_expired_pop_returns_empty_batch_not_a_block() {
-        let q = JobQueue::new(8);
+        let q = JobQueue::with_budgets(8, 8);
         let (mut dead, _rd) = job(7, "lcs", 64);
         dead.deadline = Some(Instant::now());
         q.push(dead).unwrap();
@@ -521,7 +514,7 @@ mod tests {
     // only via batches.
     #[test]
     fn deadline_sweep_conserves_jobs_and_separates_populations() {
-        let q = JobQueue::new(64);
+        let q = JobQueue::with_budgets(64, 64);
         let mut rxs = Vec::new();
         for id in 0..32u64 {
             // Vary problems so batching has real grouping work to do.
@@ -550,7 +543,7 @@ mod tests {
 
     #[test]
     fn blocked_worker_wakes_on_close() {
-        let q = std::sync::Arc::new(JobQueue::new(4));
+        let q = std::sync::Arc::new(JobQueue::with_budgets(4, 4));
         let q2 = q.clone();
         let t = std::thread::spawn(move || q2.pop_batch(4));
         std::thread::sleep(std::time::Duration::from_millis(50));
@@ -560,7 +553,7 @@ mod tests {
 
     #[test]
     fn edf_orders_within_class_with_fifo_for_deadline_free() {
-        let q = JobQueue::new(16);
+        let q = JobQueue::with_budgets(16, 16);
         let mut rxs = Vec::new();
         let now = Instant::now();
         // Different problems so nothing gathers into one batch.
@@ -587,7 +580,7 @@ mod tests {
 
     #[test]
     fn interactive_always_leads_batch_no_inversion() {
-        let q = JobQueue::new(16);
+        let q = JobQueue::with_budgets(16, 16);
         let mut rxs = Vec::new();
         let now = Instant::now();
         // A batch job with an urgent deadline arrives first…
@@ -607,7 +600,7 @@ mod tests {
 
     #[test]
     fn batch_gathering_is_tenant_fair_under_skew() {
-        let q = JobQueue::new(64);
+        let q = JobQueue::with_budgets(64, 64);
         let mut rxs = Vec::new();
         // Two tenants, 9:1 arrival skew, all one batch key. The heavy
         // tenant's nine arrive first.
@@ -634,7 +627,7 @@ mod tests {
         assert_eq!(heavy_seats, 3, "{tenants:?}");
         // With both tenants queued and an 8-wide batch, seats split
         // 4/4 even though arrivals were 9:1.
-        let q2 = JobQueue::new(64);
+        let q2 = JobQueue::with_budgets(64, 64);
         let mut rxs2 = Vec::new();
         for id in 1..=9u64 {
             let (mut j, rx) = job(id, "lcs", 64);
@@ -656,7 +649,7 @@ mod tests {
 
     #[test]
     fn restricted_worker_skips_batch_work_and_times_out_empty() {
-        let q = JobQueue::new(16);
+        let q = JobQueue::with_budgets(16, 16);
         let (mut bg, _rb) = job(1, "lcs", 64);
         bg.req.priority = Priority::Batch;
         q.push(bg).unwrap();
@@ -684,7 +677,7 @@ mod tests {
 
     #[test]
     fn restricted_worker_still_sheds_expired_batch_jobs() {
-        let q = JobQueue::new(16);
+        let q = JobQueue::with_budgets(16, 16);
         let (mut dead, _rd) = job(1, "lcs", 64);
         dead.req.priority = Priority::Batch;
         dead.deadline = Some(Instant::now());

@@ -1,5 +1,5 @@
 //! Live telemetry: always-on, bounded-memory instruments for a running
-//! server, as opposed to the snapshot-and-export [`Recorder`] layer.
+//! server, as opposed to the snapshot-and-export [`Recorder`](crate::Recorder) layer.
 //!
 //! The offline layer ([`Recorder`](crate::Recorder) → [`chrome`](crate::chrome) /
 //! [`metrics`](crate::metrics)) keeps *every* event in memory until an
@@ -489,8 +489,8 @@ impl FlightRecorder {
     }
 
     /// The retained events whose end time is at or after `min_end_s`,
-    /// as a [`TraceData`] ready for [`chrome::to_chrome_json`]
-    /// (crate::chrome). Pass `f64::NEG_INFINITY` for everything.
+    /// as a [`TraceData`] ready for
+    /// [`chrome::to_chrome_json`](crate::chrome::to_chrome_json). Pass `f64::NEG_INFINITY` for everything.
     pub fn snapshot_since(&self, min_end_s: f64) -> TraceData {
         let mut data = TraceData::default();
         let ring = self.inner.lock().unwrap_or_else(|e| e.into_inner());

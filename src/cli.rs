@@ -31,6 +31,7 @@
 //! serving stack (see docs/ROBUSTNESS.md), failing loudly when any
 //! recovered answer diverges from the oracle.
 
+use crate::parallel::RollingSolve;
 use crate::platforms::{cpu_only, hetero_high, hetero_low, Platform};
 use crate::{Framework, PhaseStat};
 use hetero_sim::report::{utilization, Utilization};
@@ -42,6 +43,7 @@ use lddp_core::pattern::classify;
 use lddp_core::rolling;
 use lddp_core::schedule::{PhaseKind, ScheduleParams};
 use lddp_core::tuner_cache::TunedConfig;
+use lddp_core::wavefront::Dims;
 use lddp_core::DegradeStep;
 use lddp_problems as problems;
 use lddp_serve::loadgen::{HttpTarget, LoadgenConfig};
@@ -674,7 +676,8 @@ pub fn usage() -> String {
          `--retry-after-cap-ms` caps how much of a 429/503 Retry-After\n\
          hint is honored (default 2000).\n\
          Set LDDP_FORCE_TIER=scalar|bulk|simd|bitparallel to cap the\n\
-         execution tier of every engine in the process.\n\
+         execution tier of every engine in the process (a lower tier\n\
+         pin still wins).\n\
          `solve --memory rolling` keeps only the live wavefronts\n\
          (O(n+m) bytes instead of the full table); without the flag the\n\
          tuner picks the mode from the platform's table-memory budget\n\
@@ -783,62 +786,123 @@ pub fn run_solve(
     run_solve_traced(problem, n, platform_name, params, &NullSink).map(|o| o.summary)
 }
 
-/// Dispatches over the problem registry. For the named problem it binds
-/// the deterministic instance at size `n` and invokes the caller's
-/// `$go!(kernel_expr, (to_gpu_bytes, from_gpu_bytes), answer_closure)`
-/// macro, where the answer closure has type
-/// `|&Kernel, &Grid<Cell>| -> String`. Every driver that needs a
-/// per-problem kernel (hetero solve, sequential oracle, classification,
-/// tuning) goes through this one registry, so a new problem is added in
-/// exactly one place.
+/// One problem-registry entry: the deterministic instance plus
+/// everything a driver needs to solve it and phrase its headline answer.
+struct Entry<K: Kernel, A> {
+    kernel: K,
+    /// `(to_gpu, from_gpu)` bytes the cost model charges for setup and
+    /// result transfer.
+    io: (usize, usize),
+    /// The headline answer read off the full table.
+    answer: A,
+    /// How a wave problem answers from a rolling band walk; `None` when
+    /// the answer needs the full table.
+    rolling: Option<RollingAnswer<K::Cell>>,
+}
+
+/// The rolling-mode half of a wave problem's registry entry.
+struct RollingAnswer<C> {
+    /// Score whose arg-best cell the band walk captures (the
+    /// Smith–Waterman endpoint); `None` for corner answers.
+    best_of: Option<fn(&C) -> i64>,
+    /// The headline answer read off the captured corner or arg-best
+    /// cell — byte-identical to the full-table answer.
+    answer: fn(&RollingSolve<C>) -> String,
+}
+
+/// Builds a registry [`Entry`]; taking the answer through the `Fn` bound
+/// fixes its closure type from the kernel alone.
+fn entry<K: Kernel, A: Fn(&K, &Grid<K::Cell>) -> String>(
+    kernel: K,
+    io: (usize, usize),
+    answer: A,
+    rolling: Option<RollingAnswer<K::Cell>>,
+) -> Entry<K, A> {
+    Entry {
+        kernel,
+        io,
+        answer,
+        rolling,
+    }
+}
+
+/// A rolling answer read off the captured bottom-right corner.
+fn corner_answer<C>(answer: fn(&RollingSolve<C>) -> String) -> Option<RollingAnswer<C>> {
+    Some(RollingAnswer {
+        best_of: None,
+        answer,
+    })
+}
+
+/// The bottom-right cell of a full table — the corner-answer problems'
+/// headline cell.
+fn corner<K: Kernel>(k: &K, g: &Grid<K::Cell>) -> K::Cell {
+    let d = k.dims();
+    g.get(d.rows - 1, d.cols - 1)
+}
+
+/// The `lcs` instance's two sequences, shared by its registry arm and
+/// the bit-parallel row kernel, which answers without a grid.
+fn lcs_sequences(n: usize) -> (Vec<u8>, Vec<u8>) {
+    let seq = |seed: u64| crate::workloads::random_seq(n, 4, seed);
+    (seq(3), seq(4))
+}
+
+/// Dispatches over the problem registry: for the named problem it builds
+/// the deterministic instance at size `n` as an [`Entry`] and invokes
+/// the caller's `$go!(entry)` macro. Every driver that needs a
+/// per-problem kernel (hetero solve, served solve, sequential oracle,
+/// classification, tuning) goes through this one registry, so a new
+/// problem — or a new rolling-capable one — is added in exactly one
+/// place.
 macro_rules! with_problem {
     ($problem:expr, $n:expr, $go:ident) => {{
         let n: usize = $n;
         let seq = |seed: u64| crate::workloads::random_seq(n, 4, seed);
         match $problem {
-            "levenshtein" => $go!(
+            "levenshtein" => $go!(entry(
                 problems::LevenshteinKernel::new(seq(1), seq(2)),
                 (2 * n, 8),
-                |k: &problems::LevenshteinKernel, g: &Grid<u32>| {
-                    let d = k.dims();
-                    format!("edit distance = {}", g.get(d.rows - 1, d.cols - 1))
-                }
-            ),
-            "lcs" => $go!(
-                problems::LcsKernel::new(seq(3), seq(4)),
+                |k, g| format!("edit distance = {}", corner(k, g)),
+                corner_answer(|s| format!("edit distance = {}", s.corner.unwrap_or_default())),
+            )),
+            "lcs" => $go!(entry(
+                {
+                    let (a, b) = lcs_sequences(n);
+                    problems::LcsKernel::new(a, b)
+                },
                 (2 * n, 8),
-                |k: &problems::LcsKernel, g: &Grid<u32>| {
-                    let d = k.dims();
-                    format!("LCS length = {}", g.get(d.rows - 1, d.cols - 1))
-                }
-            ),
-            "dtw" => $go!(
+                |k, g| format!("LCS length = {}", corner(k, g)),
+                corner_answer(|s| format!("LCS length = {}", s.corner.unwrap_or_default())),
+            )),
+            "dtw" => $go!(entry(
                 problems::DtwKernel::random_walk(n, n, 5),
                 (8 * n, 8),
-                |_k: &problems::DtwKernel, g: &Grid<f32>| {
-                    format!("DTW distance = {:.3}", g.get(n - 1, n - 1))
-                }
-            ),
-            "checkerboard" => $go!(
+                |k, g| format!("DTW distance = {:.3}", corner(k, g)),
+                corner_answer(|s| format!("DTW distance = {:.3}", s.corner.unwrap_or_default())),
+            )),
+            "checkerboard" => $go!(entry(
                 problems::CheckerboardKernel::random(n, n, 9, 6),
                 (n * n, 0),
-                |_k: &problems::CheckerboardKernel, g: &Grid<u32>| {
+                |_, g| {
                     let best = (0..n).map(|j| g.get(n - 1, j)).min().unwrap();
                     format!("cheapest path cost = {best}")
-                }
-            ),
-            "dithering" => $go!(
+                },
+                None,
+            )),
+            "dithering" => $go!(entry(
                 problems::DitherKernel::noise(n, n, 7),
                 (n * n, n * n),
-                |_k: &problems::DitherKernel, g: &Grid<problems::DitherCell>| {
+                |_, g| {
                     let on = (0..n)
                         .flat_map(|i| (0..n).map(move |j| (i, j)))
                         .filter(|&(i, j)| g.get(i, j).out == 255)
                         .count();
                     format!("{on} of {} pixels on", n * n)
-                }
-            ),
-            "seam" => $go!(
+                },
+                None,
+            )),
+            "seam" => $go!(entry(
                 problems::SeamCarvingKernel::new(
                     n,
                     n,
@@ -847,15 +911,16 @@ macro_rules! with_problem {
                         .collect(),
                 ),
                 (4 * n * n, 0),
-                |_k: &problems::SeamCarvingKernel, g: &Grid<u64>| {
+                |_, g| {
                     let best = (0..n).map(|j| g.get(n - 1, j)).min().unwrap();
                     format!("minimal seam energy = {best}")
-                }
-            ),
-            "maxsquare" => $go!(
+                },
+                None,
+            )),
+            "maxsquare" => $go!(entry(
                 problems::MaxSquareKernel::random(n, n, 0.8, 8),
                 (n * n / 8, 8),
-                |_k: &problems::MaxSquareKernel, g: &Grid<u32>| {
+                |_, g| {
                     let mut best = 0;
                     for i in 0..n {
                         for j in 0..n {
@@ -863,20 +928,21 @@ macro_rules! with_problem {
                         }
                     }
                     format!("largest all-ones square side = {best}")
-                }
-            ),
-            "needleman-wunsch" => $go!(
+                },
+                None,
+            )),
+            "needleman-wunsch" => $go!(entry(
                 problems::NeedlemanWunschKernel::new(seq(9), seq(10)),
                 (2 * n, 8),
-                |k: &problems::NeedlemanWunschKernel, g: &Grid<i32>| {
-                    let d = k.dims();
-                    format!("global alignment score = {}", g.get(d.rows - 1, d.cols - 1))
-                }
-            ),
-            "smith-waterman" => $go!(
+                |k, g| format!("global alignment score = {}", corner(k, g)),
+                corner_answer(|s| {
+                    format!("global alignment score = {}", s.corner.unwrap_or_default())
+                }),
+            )),
+            "smith-waterman" => $go!(entry(
                 problems::SmithWatermanKernel::new(seq(11), seq(12)),
                 (2 * n, 8),
-                |k: &problems::SmithWatermanKernel, g: &Grid<problems::SwCell>| {
+                |k, g| {
                     let d = k.dims();
                     let mut best = 0;
                     for i in 0..d.rows {
@@ -885,24 +951,31 @@ macro_rules! with_problem {
                         }
                     }
                     format!("best local alignment score = {best}")
-                }
-            ),
-            "weighted-edit" => $go!(
+                },
+                Some(RollingAnswer {
+                    best_of: Some(|c| c.best() as i64),
+                    answer: |s| {
+                        let best = s.best.map(|(_, _, c)| c.best()).unwrap_or(0);
+                        format!("best local alignment score = {best}")
+                    },
+                }),
+            )),
+            "weighted-edit" => $go!(entry(
                 problems::WeightedEditKernel::new(
                     seq(13),
                     seq(14),
                     problems::weighted_edit::EditCosts::default(),
                 ),
                 (2 * n, 8),
-                |k: &problems::WeightedEditKernel, g: &Grid<u32>| {
-                    format!("weighted edit distance = {}", k.distance_from(g))
-                }
-            ),
-            "fig9" => $go!(
+                |k, g| format!("weighted edit distance = {}", k.distance_from(g)),
+                None,
+            )),
+            "fig9" => $go!(entry(
                 problems::synthetic::fig9_kernel(lddp_core::wavefront::Dims::new(n, n), 1),
                 (0, 0),
-                |_k: &_, g: &Grid<u32>| { format!("corner value = {}", g.get(n - 1, n - 1)) }
-            ),
+                |_, g| format!("corner value = {}", g.get(n - 1, n - 1)),
+                None,
+            )),
             other => Err(format!("unknown problem '{other}'")),
         }
     }};
@@ -920,11 +993,12 @@ pub fn run_solve_traced(
 ) -> Result<SolveOutput, String> {
     let platform = platform_by_name(platform_name);
     macro_rules! go {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let fw = Framework::new(platform.clone()).with_io_bytes($io.0, $io.1);
+        ($entry:expr) => {{
+            let e = $entry;
+            let kernel = &e.kernel;
+            let fw = Framework::new(platform.clone()).with_io_bytes(e.io.0, e.io.1);
             let solution = fw
-                .solve_traced(&kernel, params, sink)
+                .solve_traced(kernel, params, sink)
                 .map_err(|e| e.to_string())?;
             let class = &solution.classification;
             Ok(SolveOutput {
@@ -938,9 +1012,9 @@ pub fn run_solve_traced(
                     params: solution.params,
                     tier: solution.tier,
                     memory_mode: MemoryMode::Full,
-                    table_bytes: rolling::full_table_bytes(&kernel),
+                    table_bytes: rolling::full_table_bytes(kernel),
                     hetero_ms: solution.total_s * 1e3,
-                    answer: $answer(&kernel, &solution.grid),
+                    answer: (e.answer)(kernel, &solution.grid),
                 },
                 n,
                 platform: platform_name.to_string(),
@@ -960,253 +1034,145 @@ pub fn run_solve_traced(
 /// table.
 pub fn run_solve_seq(problem: &str, n: usize) -> Result<String, String> {
     macro_rules! oracle {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let _ = $io;
-            let grid = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-            Ok($answer(&kernel, &grid))
+        ($entry:expr) => {{
+            let e = $entry;
+            let grid = lddp_core::seq::solve_row_major(&e.kernel).map_err(|e| e.to_string())?;
+            Ok((e.answer)(&e.kernel, &grid))
         }};
     }
     with_problem!(problem, n, oracle)
 }
 
-/// Builds and solves the named problem on a shared thread-pool engine —
-/// the serving hot path. The table is computed by `engine`'s persistent
-/// workers (reusing their threads and barrier across requests, through
-/// the bulk or SIMD interior-run path where the kernel provides one),
-/// while the reported virtual time is the framework's cost-model
-/// estimate for the given parameters, so timings stay comparable with
-/// the traced solve path.
-///
-/// `tier` pins the execution tier (a cached tuner decision); `None`
-/// lets the engine pick. [`ExecTier::BitParallel`] is honored for
-/// `lcs`, where the answer is a length, not a table — the bit-parallel
-/// row kernel computes it without materializing the grid; every other
-/// problem downgrades it to the best grid tier.
-pub fn run_solve_pooled(
+/// How [`run_solve_served`] runs one instance: everything a serving
+/// backend decided about it.
+#[derive(Default)]
+pub struct ServedSpec<'a> {
+    /// Schedule parameters. Cached or pinned ones may come from another
+    /// instance in the same tune bucket, so the dispatcher re-legalizes
+    /// them for this exact size before use.
+    pub params: ScheduleParams,
+    /// Tier pin (a cached tuner decision); `None` lets the engine pick.
+    /// [`ExecTier::BitParallel`] is honored for `lcs`, where the answer
+    /// is a length, not a table — the bit-parallel row kernel computes
+    /// it without materializing the grid; every other problem (and any
+    /// injected or band solve) treats it as no pin.
+    pub tier: Option<ExecTier>,
+    /// Memory mode; see [`serves_rolling`] for when `Rolling` applies.
+    pub memory: MemoryMode,
+    /// Fault injector (the chaos serving path): one device-fault draw
+    /// per request degrades the cost model from heterogeneous to the
+    /// CPU-only baseline, and the engine walks its degradation ladder.
+    /// An injected solve never streams.
+    pub injector: Option<&'a dyn FaultInjector>,
+    /// Band emitter (`POST /solve?stream=1`): a problem with a rolling
+    /// answer runs on the band path whatever the memory mode — a
+    /// full-table solve only produces its corner at the very end — and
+    /// `emit` is called once per sealed band, in order, from behind the
+    /// band's barrier. A blocking `emit` stalls the pool
+    /// (backpressure); one returning `false` stops emission while the
+    /// solve completes. Full-table problems ignore it.
+    pub emit: Option<&'a (dyn Fn(rolling::BandEvent) -> bool + Sync)>,
+}
+
+/// Whether a served solve of `problem` in `memory` under tier pin
+/// `tier` runs in rolling (wave-band) memory: a rolling memory mode on
+/// a problem with a rolling answer, unless a bit-parallel pin answers it
+/// gridless.
+pub fn serves_rolling(problem: &str, memory: MemoryMode, tier: Option<ExecTier>) -> bool {
+    memory == MemoryMode::Rolling
+        && tier != Some(ExecTier::BitParallel)
+        && rolling_supported(problem)
+}
+
+/// The served solve: builds the named instance and runs it on a shared
+/// thread-pool engine as `spec` says — the one dispatcher behind every
+/// serving backend. The table (or band ring) is computed by `engine`'s
+/// persistent workers — a bit-parallel `lcs` pin runs the row kernel on
+/// the calling thread instead — while the reported virtual time is the
+/// framework's cost-model estimate for the re-legalized parameters, so
+/// timings stay comparable with the traced solve path.
+/// Answer strings are byte-identical across every path, so the
+/// sequential oracle check holds unchanged. Returns the summary plus
+/// the wire codes of every degradation rung taken (e.g.
+/// `"bulk_to_scalar"`); an empty vector means the fully configured path
+/// served the request.
+pub fn run_solve_served(
     problem: &str,
     n: usize,
     platform_name: &str,
-    params: ScheduleParams,
-    tier: Option<ExecTier>,
     engine: &crate::parallel::ParallelEngine,
-) -> Result<RunSummary, String> {
-    let platform = platform_by_name(platform_name);
-    if tier == Some(ExecTier::BitParallel) && problem == "lcs" {
-        return run_solve_bitparallel_lcs(n, platform_name, params);
-    }
-    let engine = engine.clone().with_tier(tier);
-    macro_rules! pooled {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let fw = Framework::new(platform.clone()).with_io_bytes($io.0, $io.1);
-            let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
-            let hetero_s = fw.estimate(&kernel, params).map_err(|e| e.to_string())?;
-            let exec_tier = engine.select_tier(&kernel);
-            let grid = engine.solve(&kernel).map_err(|e| e.to_string())?;
-            Ok(RunSummary {
-                problem: problem.to_string(),
-                instance: format!("{n} x {n} on {}", platform.name),
-                patterns: format!("{} → executed as {}", class.raw_pattern, class.exec_pattern),
-                params,
-                tier: exec_tier,
-                memory_mode: MemoryMode::Full,
-                table_bytes: rolling::full_table_bytes(&kernel),
-                hetero_ms: hetero_s * 1e3,
-                answer: $answer(&kernel, &grid),
-            })
-        }};
-    }
-    with_problem!(problem, n, pooled)
-}
-
-/// The `lcs` instance solved by the bit-parallel row kernel
-/// ([`problems::lcs::lcs_length_bitparallel`]): the length comes out of
-/// machine-word bit operations, no DP grid is materialized. Instance
-/// seeds match the registry's `lcs` arm, so the answer string is
-/// identical to every grid path's.
-fn run_solve_bitparallel_lcs(
-    n: usize,
-    platform_name: &str,
-    params: ScheduleParams,
-) -> Result<RunSummary, String> {
-    let platform = platform_by_name(platform_name);
-    let a = crate::workloads::random_seq(n, 4, 3);
-    let b = crate::workloads::random_seq(n, 4, 4);
-    let kernel = problems::LcsKernel::new(a.clone(), b.clone());
-    let fw = Framework::new(platform.clone()).with_io_bytes(2 * n, 8);
-    let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
-    let hetero_s = fw.estimate(&kernel, params).map_err(|e| e.to_string())?;
-    let len = problems::lcs::lcs_length_bitparallel(&a, &b);
-    Ok(RunSummary {
-        problem: "lcs".to_string(),
-        instance: format!("{n} x {n} on {}", platform.name),
-        patterns: format!("{} → executed as {}", class.raw_pattern, class.exec_pattern),
-        params,
-        tier: ExecTier::BitParallel,
-        memory_mode: MemoryMode::Full,
-        // No grid: 256 per-symbol match masks plus the row state.
-        table_bytes: (256 + 1) * n.div_ceil(64) * 8,
-        hetero_ms: hetero_s * 1e3,
-        answer: format!("LCS length = {len}"),
-    })
-}
-
-/// [`run_solve_pooled`] under fault injection — the chaos serving path.
-/// The table is computed through the engine's graceful-degradation
-/// ladder ([`solve_degrading`](crate::parallel::ParallelEngine::solve_degrading)),
-/// and a device fault drawn from the injector degrades the cost model
-/// from heterogeneous to the CPU-only baseline instead of failing the
-/// request. Returns the summary plus the wire codes of every rung taken
-/// (e.g. `"bulk_to_scalar"`); an empty vector means the fully
-/// configured path served the request.
-#[allow(clippy::too_many_arguments)]
-pub fn run_solve_pooled_chaos(
-    problem: &str,
-    n: usize,
-    platform_name: &str,
-    params: ScheduleParams,
-    tier: Option<ExecTier>,
-    engine: &crate::parallel::ParallelEngine,
-    injector: &dyn FaultInjector,
+    spec: &ServedSpec<'_>,
 ) -> Result<(RunSummary, Vec<String>), String> {
     let platform = platform_by_name(platform_name);
-    // Under injection every solve must be able to walk the degradation
-    // ladder, so a bit-parallel pin falls back to the grid tiers here.
-    let engine = engine.clone().with_tier(tier);
-    macro_rules! chaos_pooled {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let fw = Framework::new(platform.clone()).with_io_bytes($io.0, $io.1);
-            let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
+    // A degraded rung would replay bands the client already holds, so
+    // injected solves keep to the non-streamed ladder.
+    let emit = spec.emit.filter(|_| spec.injector.is_none());
+    let engine = engine.clone().with_tier(spec.tier);
+    macro_rules! served {
+        ($entry:expr) => {{
+            let e = $entry;
+            let kernel = &e.kernel;
+            let fw = Framework::new(platform.clone()).with_io_bytes(e.io.0, e.io.1);
+            let class = fw.classify(kernel).map_err(|e| e.to_string())?;
+            let params = spec.params.clamped_for(class.exec_pattern, Dims::new(n, n));
             let mut degraded: Vec<String> = Vec::new();
             // One device-fault draw per request: the modelled device
-            // dying costs the request its heterogeneous speedup, not
-            // its answer.
-            let hetero_s = if injector.active() && injector.device_fault(0) {
-                degraded.push(DegradeStep::HeteroToCpuOnly.code().to_string());
-                fw.cpu_baseline(&kernel).map_err(|e| e.to_string())?
-            } else {
-                fw.estimate(&kernel, params).map_err(|e| e.to_string())?
-            };
-            let exec_tier = engine.select_tier(&kernel);
-            let (grid, steps) = engine
-                .solve_degrading(&kernel, injector)
-                .map_err(|e| e.to_string())?;
-            degraded.extend(steps.iter().map(|s| s.code().to_string()));
-            Ok((
-                RunSummary {
-                    problem: problem.to_string(),
-                    instance: format!("{n} x {n} on {}", platform.name),
-                    patterns: format!(
-                        "{} → executed as {}",
-                        class.raw_pattern, class.exec_pattern
-                    ),
-                    params,
-                    tier: exec_tier,
-                    memory_mode: MemoryMode::Full,
-                    table_bytes: rolling::full_table_bytes(&kernel),
-                    hetero_ms: hetero_s * 1e3,
-                    answer: $answer(&kernel, &grid),
-                },
-                degraded,
-            ))
-        }};
-    }
-    with_problem!(problem, n, chaos_pooled)
-}
-
-/// Builds and solves the named problem in rolling (wave-band) memory
-/// mode on a shared thread-pool engine: no DP grid is materialized,
-/// only the ring of three live wavefronts (`O(n + m)` bytes), and the
-/// headline answer comes from the captured corner cell — or, for
-/// `smith-waterman`, the running arg-best cell. Instance seeds and
-/// answer strings are identical to the full-table paths byte for byte,
-/// so the sequential oracle check passes unchanged. Problems whose
-/// answer needs the whole table (see [`rolling_supported`]) return
-/// `Err`.
-pub fn run_solve_rolling(
-    problem: &str,
-    n: usize,
-    platform_name: &str,
-    params: ScheduleParams,
-    tier: Option<ExecTier>,
-    engine: &crate::parallel::ParallelEngine,
-) -> Result<RunSummary, String> {
-    run_solve_rolling_inner(problem, n, platform_name, params, tier, engine, None)
-        .map(|(summary, _)| summary)
-}
-
-/// [`run_solve_rolling`] under fault injection — the chaos serving
-/// path, mirroring [`run_solve_pooled_chaos`]: the engine walks the
-/// rolling degradation ladder and a device fault degrades the cost
-/// model to the CPU-only baseline. Returns the summary plus the wire
-/// codes of every rung taken.
-#[allow(clippy::too_many_arguments)]
-pub fn run_solve_rolling_chaos(
-    problem: &str,
-    n: usize,
-    platform_name: &str,
-    params: ScheduleParams,
-    tier: Option<ExecTier>,
-    engine: &crate::parallel::ParallelEngine,
-    injector: &dyn FaultInjector,
-) -> Result<(RunSummary, Vec<String>), String> {
-    run_solve_rolling_inner(
-        problem,
-        n,
-        platform_name,
-        params,
-        tier,
-        engine,
-        Some(injector),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_solve_rolling_inner(
-    problem: &str,
-    n: usize,
-    platform_name: &str,
-    params: ScheduleParams,
-    tier: Option<ExecTier>,
-    engine: &crate::parallel::ParallelEngine,
-    injector: Option<&dyn FaultInjector>,
-) -> Result<(RunSummary, Vec<String>), String> {
-    let platform = platform_by_name(platform_name);
-    // A bit-parallel pin has no band analogue (it is already gridless);
-    // let the engine pick the best band tier instead.
-    let engine = engine.clone().with_tier(match tier {
-        Some(ExecTier::BitParallel) => None,
-        t => t,
-    });
-    let seq = |seed: u64| crate::workloads::random_seq(n, 4, seed);
-    macro_rules! roll {
-        ($kernel:expr, $io:expr, $best:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let fw = Framework::new(platform.clone()).with_io_bytes($io.0, $io.1);
-            let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
-            let mut degraded: Vec<String> = Vec::new();
-            let hetero_s = match injector {
+            // dying costs the request its heterogeneous speedup, not its
+            // answer.
+            let hetero_s = match spec.injector {
                 Some(inj) if inj.active() && inj.device_fault(0) => {
                     degraded.push(DegradeStep::HeteroToCpuOnly.code().to_string());
-                    fw.cpu_baseline(&kernel).map_err(|e| e.to_string())?
+                    fw.cpu_baseline(kernel).map_err(|e| e.to_string())?
                 }
-                _ => fw.estimate(&kernel, params).map_err(|e| e.to_string())?,
+                _ => fw.estimate(kernel, params).map_err(|e| e.to_string())?,
             };
-            let solve = match injector {
-                Some(inj) => {
-                    let (solve, steps) = engine
-                        .solve_rolling_degrading(&kernel, $best, inj)
-                        .map_err(|e| e.to_string())?;
-                    degraded.extend(steps.iter().map(|s| s.code().to_string()));
-                    solve
-                }
-                None => engine
-                    .solve_rolling(&kernel, $best)
-                    .map_err(|e| e.to_string())?,
+            let band = e
+                .rolling
+                .filter(|_| emit.is_some() || serves_rolling(problem, spec.memory, spec.tier));
+            let bitparallel = problem == "lcs"
+                && spec.tier == Some(ExecTier::BitParallel)
+                && spec.injector.is_none();
+            let (tier, memory_mode, table_bytes, answer) = if let Some(band) = band {
+                let hook = emit.map(|emit| crate::parallel::StreamHook {
+                    bands: crate::serve_backend::STREAM_BANDS,
+                    score_of: BandScore::band_score,
+                    emit,
+                });
+                let engine_spec = crate::parallel::SolveSpec {
+                    memory: MemoryMode::Rolling,
+                    best_of: band.best_of,
+                    stream: hook.as_ref(),
+                    injector: spec.injector,
+                    ..crate::parallel::SolveSpec::default()
+                };
+                let (solved, steps) = engine
+                    .solve_with(kernel, &engine_spec)
+                    .map_err(|e| e.to_string())?;
+                degraded.extend(steps.iter().map(|s| s.code().to_string()));
+                let solve = solved.rolling().expect("a rolling spec yields a band solve");
+                let answer = (band.answer)(&solve);
+                (solve.tier, MemoryMode::Rolling, solve.peak_bytes, answer)
+            } else if bitparallel {
+                let (a, b) = lcs_sequences(n);
+                let len = problems::lcs::lcs_length_bitparallel(&a, &b);
+                // No grid: 256 per-symbol match masks plus the row state.
+                let table_bytes = (256 + 1) * n.div_ceil(64) * 8;
+                let answer = format!("LCS length = {len}");
+                (ExecTier::BitParallel, MemoryMode::Full, table_bytes, answer)
+            } else {
+                let engine_spec = crate::parallel::SolveSpec {
+                    injector: spec.injector,
+                    ..crate::parallel::SolveSpec::default()
+                };
+                let tier = engine.select_tier(kernel);
+                let (solved, steps) = engine
+                    .solve_with(kernel, &engine_spec)
+                    .map_err(|e| e.to_string())?;
+                degraded.extend(steps.iter().map(|s| s.code().to_string()));
+                let grid = solved.grid().expect("a full-memory spec yields a grid");
+                let answer = (e.answer)(kernel, &grid);
+                (tier, MemoryMode::Full, rolling::full_table_bytes(kernel), answer)
             };
-            let answer = $answer(&solve);
             Ok((
                 RunSummary {
                     problem: problem.to_string(),
@@ -1216,9 +1182,9 @@ fn run_solve_rolling_inner(
                         class.raw_pattern, class.exec_pattern
                     ),
                     params,
-                    tier: solve.tier,
-                    memory_mode: MemoryMode::Rolling,
-                    table_bytes: solve.peak_bytes,
+                    tier,
+                    memory_mode,
+                    table_bytes,
                     hetero_ms: hetero_s * 1e3,
                     answer,
                 },
@@ -1226,154 +1192,7 @@ fn run_solve_rolling_inner(
             ))
         }};
     }
-    use crate::parallel::RollingSolve;
-    match problem {
-        "levenshtein" => roll!(
-            problems::LevenshteinKernel::new(seq(1), seq(2)),
-            (2 * n, 8),
-            None,
-            |s: &RollingSolve<u32>| format!("edit distance = {}", s.corner.unwrap_or_default())
-        ),
-        "lcs" => roll!(
-            problems::LcsKernel::new(seq(3), seq(4)),
-            (2 * n, 8),
-            None,
-            |s: &RollingSolve<u32>| format!("LCS length = {}", s.corner.unwrap_or_default())
-        ),
-        "dtw" => roll!(
-            problems::DtwKernel::random_walk(n, n, 5),
-            (8 * n, 8),
-            None,
-            |s: &RollingSolve<f32>| format!("DTW distance = {:.3}", s.corner.unwrap_or_default())
-        ),
-        "needleman-wunsch" => roll!(
-            problems::NeedlemanWunschKernel::new(seq(9), seq(10)),
-            (2 * n, 8),
-            None,
-            |s: &RollingSolve<i32>| format!(
-                "global alignment score = {}",
-                s.corner.unwrap_or_default()
-            )
-        ),
-        "smith-waterman" => roll!(
-            problems::SmithWatermanKernel::new(seq(11), seq(12)),
-            (2 * n, 8),
-            Some(|c: &problems::SwCell| c.best() as i64),
-            |s: &RollingSolve<problems::SwCell>| {
-                let best = s.best.map(|(_, _, c)| c.best()).unwrap_or(0);
-                format!("best local alignment score = {best}")
-            }
-        ),
-        other if PROBLEMS.contains(&other) => Err(format!(
-            "problem '{other}' has no rolling-mode solve (its answer needs the full table)"
-        )),
-        other => Err(format!("unknown problem '{other}'")),
-    }
-}
-
-/// [`run_solve_rolling`] that streams sealed wave bands while the pool
-/// keeps solving — the backend of `POST /solve?stream=1`. The schedule
-/// is cut into at most `bands` near-equal-cell slices and `emit` is
-/// called once per band, in order, from behind the band's sealing
-/// barrier; a blocking `emit` stalls the pool (backpressure), and an
-/// `emit` returning `false` stops emission while the solve completes.
-/// Instance seeds and the answer string are byte-identical to
-/// [`run_solve_rolling`] and the full-table paths.
-#[allow(clippy::too_many_arguments)]
-pub fn run_solve_rolling_stream(
-    problem: &str,
-    n: usize,
-    platform_name: &str,
-    params: ScheduleParams,
-    tier: Option<ExecTier>,
-    engine: &crate::parallel::ParallelEngine,
-    bands: usize,
-    emit: &(dyn Fn(lddp_core::rolling::BandEvent) -> bool + Sync),
-) -> Result<RunSummary, String> {
-    let platform = platform_by_name(platform_name);
-    // As in the plain rolling path: a bit-parallel pin has no band
-    // analogue, so let the engine pick the best band tier.
-    let engine = engine.clone().with_tier(match tier {
-        Some(ExecTier::BitParallel) => None,
-        t => t,
-    });
-    let seq = |seed: u64| crate::workloads::random_seq(n, 4, seed);
-    macro_rules! roll_stream {
-        ($kernel:expr, $io:expr, $best:expr, $score:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let fw = Framework::new(platform.clone()).with_io_bytes($io.0, $io.1);
-            let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
-            let hetero_s = fw.estimate(&kernel, params).map_err(|e| e.to_string())?;
-            let hook = crate::parallel::StreamHook {
-                bands,
-                score_of: $score,
-                emit,
-            };
-            let solve = engine
-                .solve_rolling_stream(&kernel, $best, &hook)
-                .map_err(|e| e.to_string())?;
-            let answer = $answer(&solve);
-            Ok(RunSummary {
-                problem: problem.to_string(),
-                instance: format!("{n} x {n} on {}", platform.name),
-                patterns: format!("{} → executed as {}", class.raw_pattern, class.exec_pattern),
-                params,
-                tier: solve.tier,
-                memory_mode: MemoryMode::Rolling,
-                table_bytes: solve.peak_bytes,
-                hetero_ms: hetero_s * 1e3,
-                answer,
-            })
-        }};
-    }
-    use crate::parallel::RollingSolve;
-    match problem {
-        "levenshtein" => roll_stream!(
-            problems::LevenshteinKernel::new(seq(1), seq(2)),
-            (2 * n, 8),
-            None,
-            |c: &u32| *c as f64,
-            |s: &RollingSolve<u32>| format!("edit distance = {}", s.corner.unwrap_or_default())
-        ),
-        "lcs" => roll_stream!(
-            problems::LcsKernel::new(seq(3), seq(4)),
-            (2 * n, 8),
-            None,
-            |c: &u32| *c as f64,
-            |s: &RollingSolve<u32>| format!("LCS length = {}", s.corner.unwrap_or_default())
-        ),
-        "dtw" => roll_stream!(
-            problems::DtwKernel::random_walk(n, n, 5),
-            (8 * n, 8),
-            None,
-            |c: &f32| *c as f64,
-            |s: &RollingSolve<f32>| format!("DTW distance = {:.3}", s.corner.unwrap_or_default())
-        ),
-        "needleman-wunsch" => roll_stream!(
-            problems::NeedlemanWunschKernel::new(seq(9), seq(10)),
-            (2 * n, 8),
-            None,
-            |c: &i32| *c as f64,
-            |s: &RollingSolve<i32>| format!(
-                "global alignment score = {}",
-                s.corner.unwrap_or_default()
-            )
-        ),
-        "smith-waterman" => roll_stream!(
-            problems::SmithWatermanKernel::new(seq(11), seq(12)),
-            (2 * n, 8),
-            Some(|c: &problems::SwCell| c.best() as i64),
-            |c: &problems::SwCell| c.best() as f64,
-            |s: &RollingSolve<problems::SwCell>| {
-                let best = s.best.map(|(_, _, c)| c.best()).unwrap_or(0);
-                format!("best local alignment score = {best}")
-            }
-        ),
-        other if PROBLEMS.contains(&other) => Err(format!(
-            "problem '{other}' has no rolling-mode solve (its answer needs the full table)"
-        )),
-        other => Err(format!("unknown problem '{other}'")),
-    }
+    with_problem!(problem, n, served)
 }
 
 /// The §IV cost model's virtual-time estimate for one instance on one
@@ -1388,18 +1207,12 @@ pub fn estimate_virtual(
 ) -> Result<f64, String> {
     let platform = platform_by_name(platform_name);
     macro_rules! est_of {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            // Dead call pins the answer closure's kernel-parameter type
-            // (some registry arms annotate it as `&_`).
-            if false {
-                let g = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-                let _: String = $answer(&kernel, &g);
-            }
-            let fw = Framework::new(platform.clone()).with_io_bytes($io.0, $io.1);
-            let class = fw.classify(&kernel).map_err(|e| e.to_string())?;
-            let legal = params.clamped_for(class.exec_pattern, kernel.dims());
-            fw.estimate(&kernel, legal).map_err(|e| e.to_string())
+        ($entry:expr) => {{
+            let e = $entry;
+            let fw = Framework::new(platform.clone()).with_io_bytes(e.io.0, e.io.1);
+            let class = fw.classify(&e.kernel).map_err(|e| e.to_string())?;
+            let legal = params.clamped_for(class.exec_pattern, e.kernel.dims());
+            fw.estimate(&e.kernel, legal).map_err(|e| e.to_string())
         }};
     }
     with_problem!(problem, n, est_of)
@@ -1437,12 +1250,22 @@ fn fleet_multi_platform(devices: usize) -> hetero_sim::multi::MultiPlatform {
 
 /// Solves one instance as a `devices`-way cross-device [`MultiPlan`]
 /// column-band split (§VII made concrete): even band boundaries, the
-/// tuned `t_switch` re-legalized **per band** (satellite of the fleet
-/// work — a parameter tuned on the whole grid can be illegal for a
-/// narrow band), functional execution with per-device grids, and the
+/// parameters re-legalized for this exact size and then **per band**
+/// (a parameter tuned on the whole grid can be illegal for a narrow
+/// band), functional execution with per-device grids, and the
 /// reassembled table's answer. Problems whose raw pattern needs a
 /// kernel adapter (transposed/mirrored execution) have no direct band
 /// split and return `Err` — callers fall back to a pooled solve.
+///
+/// With `emit` — the fleet's `MultiPlan` leg of `POST /solve?stream=1`
+/// — one frame per device band is emitted as the split reassembles.
+/// The split is by *columns*, not waves, so a frame's
+/// `wave_lo..=wave_hi` range is reinterpreted as the band's column
+/// range, `rows_completed` only reaches `rows` on the final band (a
+/// grid row seals at its last column), and `score` is the bottom cell
+/// of the band's last column. Emission is observation only: the answer
+/// is the same, and an `emit` returning `false` stops further frames
+/// without touching the solve.
 ///
 /// [`MultiPlan`]: lddp_core::multi::MultiPlan
 pub fn run_solve_multi(
@@ -1450,15 +1273,16 @@ pub fn run_solve_multi(
     n: usize,
     params: ScheduleParams,
     devices: usize,
+    emit: Option<&(dyn Fn(rolling::BandEvent) -> bool + Sync)>,
 ) -> Result<RunSummary, String> {
     if devices < 2 {
         return Err("a cross-device split needs at least 2 devices".into());
     }
     let platform = fleet_multi_platform(devices);
     macro_rules! multi_of {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let _ = $io;
+        ($entry:expr) => {{
+            let e = $entry;
+            let kernel = &e.kernel;
             let set = kernel.contributing_set();
             let raw = classify(set).ok_or("empty contributing set")?;
             if !raw.is_canonical() {
@@ -1467,6 +1291,8 @@ pub fn run_solve_multi(
                      no direct cross-device band split"
                 ));
             }
+            let exec = lddp_core::framework::choose_execution(set).map_err(|e| e.to_string())?;
+            let params = params.clamped_for(exec.exec_pattern, Dims::new(n, n));
             let dims = kernel.dims();
             let boundaries = crate::fleet::split_bands(dims.cols, devices);
             // Per-band re-legalization: the plan carries one t_switch,
@@ -1479,11 +1305,49 @@ pub fn run_solve_multi(
                     .chain(std::iter::once(params.clamped_for(raw, dims).t_switch))
                     .min()
                     .unwrap_or(0);
-            let plan = lddp_core::multi::MultiPlan::new(raw, set, dims, t_switch, boundaries)
-                .map_err(|e| e.to_string())?;
-            let report = hetero_sim::multi::run_multi(&kernel, &plan, &platform, true)
+            let plan =
+                lddp_core::multi::MultiPlan::new(raw, set, dims, t_switch, boundaries.clone())
+                    .map_err(|e| e.to_string())?;
+            let report = hetero_sim::multi::run_multi(kernel, &plan, &platform, true)
                 .map_err(|e| e.to_string())?;
             let grid = report.grid.expect("functional multi run returns a grid");
+            if let Some(emit) = emit {
+                // One frame per device band, cut at the plan's column
+                // boundaries, scored off the reassembled table.
+                let cells_total = (dims.rows * dims.cols) as u64;
+                let mut lo = 0usize;
+                let mut cells_done = 0u64;
+                for (band, hi) in boundaries
+                    .iter()
+                    .copied()
+                    .chain(std::iter::once(dims.cols))
+                    .enumerate()
+                {
+                    if hi <= lo {
+                        // Degenerate (empty) band: more devices than
+                        // columns. Nothing sealed, nothing to frame.
+                        continue;
+                    }
+                    cells_done += (dims.rows * (hi - lo)) as u64;
+                    let last = hi == dims.cols;
+                    let frame = rolling::BandEvent {
+                        band,
+                        bands: devices,
+                        wave_lo: lo,
+                        wave_hi: hi - 1,
+                        rows_completed: if last { dims.rows } else { 0 },
+                        rows: dims.rows,
+                        cells_done,
+                        cells_total,
+                        score: grid.get(dims.rows - 1, hi - 1).band_score(),
+                        best: None,
+                    };
+                    lo = hi;
+                    if !emit(frame) {
+                        break;
+                    }
+                }
+            }
             Ok(RunSummary {
                 problem: problem.to_string(),
                 instance: format!("{n} x {n} split {}-way on {}", devices, platform.name),
@@ -1491,9 +1355,9 @@ pub fn run_solve_multi(
                 params: ScheduleParams::new(t_switch, params.t_share),
                 tier: ExecTier::Scalar,
                 memory_mode: MemoryMode::Full,
-                table_bytes: rolling::full_table_bytes(&kernel),
+                table_bytes: rolling::full_table_bytes(kernel),
                 hetero_ms: report.total_s * 1e3,
-                answer: $answer(&kernel, &grid),
+                answer: (e.answer)(kernel, &grid),
             })
         }};
     }
@@ -1501,9 +1365,9 @@ pub fn run_solve_multi(
 }
 
 /// Projects a grid cell to the `f64` frontier score a streamed band
-/// frame carries — the per-cell-type half of
-/// [`run_solve_multi_stream`], which is generic over the registry's
-/// cell types but needs one number per band boundary.
+/// frame carries — generic over the registry's cell types, one number
+/// per band boundary (wave bands in [`run_solve_served`], device column
+/// bands in [`run_solve_multi`]).
 trait BandScore {
     fn band_score(&self) -> f64;
 }
@@ -1532,118 +1396,12 @@ impl BandScore for problems::DitherCell {
     }
 }
 
-/// [`run_solve_multi`] that emits one frame per device band as the
-/// cross-device split reassembles — the fleet's `MultiPlan` leg of
-/// `POST /solve?stream=1`. The split is by *columns*, not waves, so a
-/// frame's `wave_lo..=wave_hi` range is reinterpreted as the band's
-/// column range, `rows_completed` only reaches `rows` on the final
-/// band (a grid row seals at its last column), and `score` is the
-/// bottom cell of the band's last column. Emission is observation
-/// only: the answer is identical to [`run_solve_multi`], and an `emit`
-/// returning `false` stops further frames without touching the solve.
-pub fn run_solve_multi_stream(
-    problem: &str,
-    n: usize,
-    params: ScheduleParams,
-    devices: usize,
-    emit: &(dyn Fn(lddp_core::rolling::BandEvent) -> bool + Sync),
-) -> Result<RunSummary, String> {
-    if devices < 2 {
-        return Err("a cross-device split needs at least 2 devices".into());
-    }
-    let platform = fleet_multi_platform(devices);
-    macro_rules! multi_stream_of {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let _ = $io;
-            let set = kernel.contributing_set();
-            let raw = classify(set).ok_or("empty contributing set")?;
-            if !raw.is_canonical() {
-                return Err(format!(
-                    "problem '{problem}' executes {raw} through an adapter; \
-                     no direct cross-device band split"
-                ));
-            }
-            let dims = kernel.dims();
-            let boundaries = crate::fleet::split_bands(dims.cols, devices);
-            let t_switch =
-                crate::fleet::per_band_params(params, raw, dims.rows, &boundaries, dims.cols)
-                    .iter()
-                    .map(|p| p.t_switch)
-                    .chain(std::iter::once(params.clamped_for(raw, dims).t_switch))
-                    .min()
-                    .unwrap_or(0);
-            let plan = lddp_core::multi::MultiPlan::new(raw, set, dims, t_switch, boundaries)
-                .map_err(|e| e.to_string())?;
-            let report = hetero_sim::multi::run_multi(&kernel, &plan, &platform, true)
-                .map_err(|e| e.to_string())?;
-            let grid = report.grid.expect("functional multi run returns a grid");
-            // One frame per device band, cut at the plan's column
-            // boundaries, scored off the reassembled table.
-            let bounds = crate::fleet::split_bands(dims.cols, devices);
-            let cells_total = (dims.rows * dims.cols) as u64;
-            let mut lo = 0usize;
-            let mut cells_done = 0u64;
-            for (band, hi) in bounds
-                .iter()
-                .copied()
-                .chain(std::iter::once(dims.cols))
-                .enumerate()
-            {
-                if hi <= lo {
-                    // Degenerate (empty) band: more devices than
-                    // columns. Nothing sealed, nothing to frame.
-                    continue;
-                }
-                cells_done += (dims.rows * (hi - lo)) as u64;
-                let last = hi == dims.cols;
-                let frame = lddp_core::rolling::BandEvent {
-                    band,
-                    bands: devices,
-                    wave_lo: lo,
-                    wave_hi: hi - 1,
-                    rows_completed: if last { dims.rows } else { 0 },
-                    rows: dims.rows,
-                    cells_done,
-                    cells_total,
-                    score: grid.get(dims.rows - 1, hi - 1).band_score(),
-                    best: None,
-                };
-                lo = hi;
-                if !emit(frame) {
-                    break;
-                }
-            }
-            Ok(RunSummary {
-                problem: problem.to_string(),
-                instance: format!("{n} x {n} split {}-way on {}", devices, platform.name),
-                patterns: format!("{raw} → {} column bands", devices),
-                params: ScheduleParams::new(t_switch, params.t_share),
-                tier: ExecTier::Scalar,
-                memory_mode: MemoryMode::Full,
-                table_bytes: rolling::full_table_bytes(&kernel),
-                hetero_ms: report.total_s * 1e3,
-                answer: $answer(&kernel, &grid),
-            })
-        }};
-    }
-    with_problem!(problem, n, multi_stream_of)
-}
-
 /// The execution pattern the framework classifies the named problem to
 /// — the pattern half of a [`lddp_core::tuner_cache::TuneKey`].
 pub fn classify_problem(problem: &str, n: usize) -> Result<lddp_core::pattern::Pattern, String> {
     macro_rules! class_of {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let _ = $io;
-            // Dead call pins the answer closure's kernel-parameter type
-            // (some registry arms annotate it as `&_`).
-            if false {
-                let g = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-                let _: String = $answer(&kernel, &g);
-            }
-            let class = lddp_core::framework::choose_execution(kernel.contributing_set())
+        ($entry:expr) => {{
+            let class = lddp_core::framework::choose_execution($entry.kernel.contributing_set())
                 .map_err(|e| e.to_string())?;
             Ok(class.exec_pattern)
         }};
@@ -1657,16 +1415,10 @@ pub fn classify_problem(problem: &str, n: usize) -> Result<lddp_core::pattern::P
 pub fn tune_params(problem: &str, n: usize, platform_name: &str) -> Result<ScheduleParams, String> {
     let platform = platform_by_name(platform_name);
     macro_rules! tune_of {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            // Dead call pins the answer closure's kernel-parameter type
-            // (some registry arms annotate it as `&_`).
-            if false {
-                let g = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-                let _: String = $answer(&kernel, &g);
-            }
-            let fw = Framework::new(platform.clone()).with_io_bytes($io.0, $io.1);
-            let tuned = fw.tune(&kernel).map_err(|e| e.to_string())?;
+        ($entry:expr) => {{
+            let e = $entry;
+            let fw = Framework::new(platform.clone()).with_io_bytes(e.io.0, e.io.1);
+            let tuned = fw.tune(&e.kernel).map_err(|e| e.to_string())?;
             Ok(tuned.params)
         }};
     }
@@ -1683,17 +1435,9 @@ pub fn select_tier(
     engine: &crate::parallel::ParallelEngine,
 ) -> Result<ExecTier, String> {
     macro_rules! tier_of {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let _ = $io;
-            // Dead call pins the answer closure's kernel-parameter type
-            // (some registry arms annotate it as `&_`).
-            if false {
-                let g = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-                let _: String = $answer(&kernel, &g);
-            }
-            Ok(engine.select_tier(&kernel))
-        }};
+        ($entry:expr) => {
+            Ok(engine.select_tier(&$entry.kernel))
+        };
     }
     with_problem!(problem, n, tier_of)
 }
@@ -1702,10 +1446,12 @@ pub fn select_tier(
 /// wave kernels whose headline answer is the corner value or the best
 /// cell, both captured on the fly — no full table, no traceback needed.
 pub fn rolling_supported(problem: &str) -> bool {
-    matches!(
-        problem,
-        "levenshtein" | "lcs" | "dtw" | "needleman-wunsch" | "smith-waterman"
-    )
+    macro_rules! has_rolling {
+        ($entry:expr) => {
+            Ok::<bool, String>($entry.rolling.is_some())
+        };
+    }
+    with_problem!(problem, 2, has_rolling).unwrap_or(false)
 }
 
 /// DP-table memory budget of a platform preset, in bytes — the knob the
@@ -1722,18 +1468,11 @@ pub fn platform_table_budget(platform_name: &str) -> usize {
 /// points of the memory model the tuner chooses between.
 pub fn table_footprint(problem: &str, n: usize) -> Result<(usize, usize), String> {
     macro_rules! foot_of {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let _ = $io;
-            // Dead call pins the answer closure's kernel-parameter type
-            // (some registry arms annotate it as `&_`).
-            if false {
-                let g = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-                let _: String = $answer(&kernel, &g);
-            }
+        ($entry:expr) => {{
+            let kernel = &$entry.kernel;
             Ok((
-                rolling::full_table_bytes(&kernel),
-                rolling::rolling_bytes(&kernel),
+                rolling::full_table_bytes(kernel),
+                rolling::rolling_bytes(kernel),
             ))
         }};
     }
@@ -1769,17 +1508,9 @@ pub fn tune_config(
 ) -> Result<TunedConfig, String> {
     let params = tune_params(problem, n, platform_name)?;
     macro_rules! tier_of {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let _ = $io;
-            // Dead call pins the answer closure's kernel-parameter type
-            // (some registry arms annotate it as `&_`).
-            if false {
-                let g = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-                let _: String = $answer(&kernel, &g);
-            }
-            engine.tune_tier(&kernel).map_err(|e| e.to_string())
-        }};
+        ($entry:expr) => {
+            engine.tune_tier(&$entry.kernel).map_err(|e| e.to_string())
+        };
     }
     let (mut tier, points): (ExecTier, Vec<lddp_core::tuner::TierPoint>) =
         with_problem!(problem, n, tier_of)?;
@@ -1789,8 +1520,7 @@ pub fn tune_config(
             .find(|p| p.tier == tier)
             .map(|p| p.secs)
             .unwrap_or(f64::INFINITY);
-        let a = crate::workloads::random_seq(n, 4, 3);
-        let b = crate::workloads::random_seq(n, 4, 4);
+        let (a, b) = lcs_sequences(n);
         let bp_secs = best_secs(1, || {
             std::hint::black_box(problems::lcs::lcs_length_bitparallel(&a, &b));
         });
@@ -2397,7 +2127,7 @@ pub fn run_bench_quick(n: usize, out_path: Option<&str>) -> Result<String, Strin
     // always pays, not a telemetry-free best case.
     let live = std::sync::Arc::new(lddp_trace::live::LiveRegistry::new());
     let engine = crate::parallel::ParallelEngine::host().with_live(live);
-    let scalar_engine = engine.clone().with_bulk_enabled(false);
+    let scalar_engine = engine.clone().with_tier(Some(ExecTier::Scalar));
     let bulk_engine = engine.clone().with_tier(Some(ExecTier::Bulk));
     let simd_engine = engine.clone().with_tier(Some(ExecTier::Simd));
     let threads = engine.threads();
@@ -2406,18 +2136,13 @@ pub fn run_bench_quick(n: usize, out_path: Option<&str>) -> Result<String, Strin
     let mut entries: Vec<String> = Vec::new();
     for problem in BENCH_PROBLEMS {
         macro_rules! qb {
-            ($kernel:expr, $io:expr, $answer:expr) => {{
-                let kernel = $kernel;
-                let _ = $io;
+            ($entry:expr) => {{
+                let kernel = $entry.kernel;
                 let d = kernel.dims();
                 let cells = (d.rows * d.cols) as f64;
                 // Warm the pool, the allocator, and the page cache once
-                // before timing; the dead call pins the answer closure's
-                // kernel-parameter type (some registry arms use `&_`).
-                let g = engine.solve(&kernel).map_err(|e| e.to_string())?;
-                if false {
-                    let _: String = $answer(&kernel, &g);
-                }
+                // before timing.
+                engine.solve(&kernel).map_err(|e| e.to_string())?;
                 let auto_s = best_secs(iters, || {
                     engine.solve(&kernel).unwrap();
                 });
@@ -2441,8 +2166,7 @@ pub fn run_bench_quick(n: usize, out_path: Option<&str>) -> Result<String, Strin
                         .unwrap();
                 });
                 let bitparallel = if *problem == "lcs" {
-                    let a = crate::workloads::random_seq(n, 4, 3);
-                    let b = crate::workloads::random_seq(n, 4, 4);
+                    let (a, b) = lcs_sequences(n);
                     let bp_s = best_secs(iters, || {
                         std::hint::black_box(problems::lcs::lcs_length_bitparallel(&a, &b));
                     });
@@ -2511,15 +2235,9 @@ pub fn run_bench_quick(n: usize, out_path: Option<&str>) -> Result<String, Strin
     // pool (no fresh thread set per point).
     let sweep: Result<String, String> = {
         macro_rules! sweep_of {
-            ($kernel:expr, $io:expr, $answer:expr) => {{
-                let kernel = $kernel;
-                let _ = $io;
-                if false {
-                    let g = lddp_core::seq::solve_row_major(&kernel).map_err(|e| e.to_string())?;
-                    let _: String = $answer(&kernel, &g);
-                }
+            ($entry:expr) => {{
                 let (best, points) = engine
-                    .tune_worker_count(&kernel, &[])
+                    .tune_worker_count(&$entry.kernel, &[])
                     .map_err(|e| e.to_string())?;
                 let pts: Vec<String> = points
                     .iter()
@@ -2571,8 +2289,13 @@ pub fn run_bench_rolling(n: usize, out_path: Option<&str>) -> Result<String, Str
         let mut last: Option<RunSummary> = None;
         let mut err: Option<String> = None;
         let secs = best_secs(iters, || {
-            match run_solve_rolling(problem, n, "high", params, None, &engine) {
-                Ok(s) => last = Some(s),
+            let spec = ServedSpec {
+                params,
+                memory: MemoryMode::Rolling,
+                ..ServedSpec::default()
+            };
+            match run_solve_served(problem, n, "high", &engine, &spec) {
+                Ok((s, _)) => last = Some(s),
                 Err(e) => err = Some(e),
             }
         });
@@ -2689,13 +2412,17 @@ fn run_chaos_inner(seed: u64, campaign: &str, out_path: Option<&str>) -> Result<
         let oracle = run_solve_seq(problem, n)?;
         for _ in 0..ladder_iters {
             macro_rules! ladder {
-                ($kernel:expr, $io:expr, $answer:expr) => {{
-                    let kernel = $kernel;
-                    let _ = $io;
-                    let (grid, steps) = engine
-                        .solve_degrading(&kernel, &ladder_plan)
+                ($entry:expr) => {{
+                    let e = $entry;
+                    let spec = crate::parallel::SolveSpec {
+                        injector: Some(&ladder_plan),
+                        ..crate::parallel::SolveSpec::default()
+                    };
+                    let (solved, steps) = engine
+                        .solve_with(&e.kernel, &spec)
                         .map_err(|e| e.to_string())?;
-                    Ok(($answer(&kernel, &grid), steps))
+                    let grid = solved.grid().expect("a full-memory spec yields a grid");
+                    Ok(((e.answer)(&e.kernel, &grid), steps))
                 }};
             }
             let probe: Result<(String, Vec<DegradeStep>), String> =
@@ -2725,11 +2452,10 @@ fn run_chaos_inner(seed: u64, campaign: &str, out_path: Option<&str>) -> Result<
     {
         let oracle = run_solve_seq("lcs", n)?;
         macro_rules! health {
-            ($kernel:expr, $io:expr, $answer:expr) => {{
-                let kernel = $kernel;
-                let _ = $io;
-                let grid = engine.solve(&kernel).map_err(|e| e.to_string())?;
-                Ok($answer(&kernel, &grid))
+            ($entry:expr) => {{
+                let e = $entry;
+                let grid = engine.solve(&e.kernel).map_err(|e| e.to_string())?;
+                Ok((e.answer)(&e.kernel, &grid))
             }};
         }
         let clean: Result<String, String> = with_problem!("lcs", n, health);
@@ -2744,9 +2470,10 @@ fn run_chaos_inner(seed: u64, campaign: &str, out_path: Option<&str>) -> Result<
     let hetero_n = 64;
     let hetero_oracle = run_solve_seq("lcs", hetero_n)?;
     macro_rules! hetero_probe {
-        ($kernel:expr, $io:expr, $answer:expr) => {{
-            let kernel = $kernel;
-            let fw = Framework::new(platform_by_name("high")).with_io_bytes($io.0, $io.1);
+        ($entry:expr) => {{
+            let e = $entry;
+            let kernel = &e.kernel;
+            let fw = Framework::new(platform_by_name("high")).with_io_bytes(e.io.0, e.io.1);
             // Pinned rather than tuned: on instances this small the
             // tuner often picks a CPU-only schedule, which has no
             // device-involved waves and therefore nothing to fault.
@@ -2756,12 +2483,12 @@ fn run_chaos_inner(seed: u64, campaign: &str, out_path: Option<&str>) -> Result<
             let mut cpu_only = 0u64;
             for _ in 0..hetero_iters {
                 let sol = fw
-                    .solve_chaos(&kernel, params, &hetero_plan)
+                    .solve_chaos(kernel, params, &hetero_plan)
                     .map_err(|e| e.to_string())?;
                 if !sol.degradation.is_empty() {
                     cpu_only += 1;
                 }
-                let answer: String = $answer(&kernel, &sol.grid);
+                let answer = (e.answer)(kernel, &sol.grid);
                 if answer != hetero_oracle {
                     return Err(format!(
                         "chaos: hetero answer diverged after a device fault \
@@ -2877,7 +2604,12 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                     Some(p) => p,
                     None => tune_params(&problem, n, &platform)?,
                 };
-                let summary = run_solve_rolling(&problem, n, &platform, params, None, &engine)?;
+                let spec = ServedSpec {
+                    params,
+                    memory: MemoryMode::Rolling,
+                    ..ServedSpec::default()
+                };
+                let (summary, _) = run_solve_served(&problem, n, &platform, &engine, &spec)?;
                 if json {
                     Ok(render_rolling_json(&summary, n, &platform))
                 } else {
@@ -3498,33 +3230,26 @@ mod tests {
     fn pooled_solve_honors_tier_pins_and_bitparallel_matches() {
         let engine = crate::parallel::ParallelEngine::new(2);
         let params = ScheduleParams::new(4, 16);
-        let auto = run_solve_pooled("lcs", 64, "high", params, None, &engine).unwrap();
-        let scalar =
-            run_solve_pooled("lcs", 64, "high", params, Some(ExecTier::Scalar), &engine).unwrap();
+        let pooled = |problem: &str, tier: Option<ExecTier>| {
+            let spec = ServedSpec {
+                params,
+                tier,
+                ..ServedSpec::default()
+            };
+            run_solve_served(problem, 64, "high", &engine, &spec)
+                .unwrap()
+                .0
+        };
+        let auto = pooled("lcs", None);
+        let scalar = pooled("lcs", Some(ExecTier::Scalar));
         assert_eq!(scalar.tier, ExecTier::Scalar);
         assert_eq!(scalar.answer, auto.answer);
-        let bp = run_solve_pooled(
-            "lcs",
-            64,
-            "high",
-            params,
-            Some(ExecTier::BitParallel),
-            &engine,
-        )
-        .unwrap();
+        let bp = pooled("lcs", Some(ExecTier::BitParallel));
         assert_eq!(bp.tier, ExecTier::BitParallel);
         assert_eq!(bp.answer, auto.answer);
         // Only lcs has a bit-parallel kernel; everything else downgrades
         // the pin to the best available grid tier.
-        let lev = run_solve_pooled(
-            "levenshtein",
-            64,
-            "high",
-            params,
-            Some(ExecTier::BitParallel),
-            &engine,
-        )
-        .unwrap();
+        let lev = pooled("levenshtein", Some(ExecTier::BitParallel));
         assert_ne!(lev.tier, ExecTier::BitParallel);
         assert!(lev.answer.contains("edit distance"));
     }

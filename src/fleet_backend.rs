@@ -15,8 +15,8 @@
 //! mechanism-only.
 
 use crate::cli;
+use crate::serve_backend::{backend_solve, band_frame_of, validate_request};
 use lddp_chaos::FaultInjector;
-use lddp_core::kernel::{ExecTier, MemoryMode};
 use lddp_core::tuner_cache::{TuneKey, TunedConfig, TunerCache};
 use lddp_core::wavefront::Dims;
 use lddp_fleet::{default_fleet, Fleet};
@@ -186,116 +186,94 @@ impl FleetBackend {
     /// Executes one placed request: large grids first try the
     /// cross-device MultiPlan split (skipped under fault injection so
     /// chaos campaigns exercise the pools' degradation ladder), then
-    /// the placed pool. Returns `(summary, degraded rungs, devices)`.
+    /// the placed pool. With `emit`, either leg streams its bands (one
+    /// frame per device band, or the pool's wave bands). Returns
+    /// `(summary, degraded rungs, devices)`.
     fn solve_on(
         &self,
         req: &SolveRequest,
         idx: usize,
-        params: lddp_core::schedule::ScheduleParams,
-        tier: lddp_core::kernel::ExecTier,
-        memory: MemoryMode,
+        config: TunedConfig,
+        emit: Option<&(dyn Fn(lddp_core::rolling::BandEvent) -> bool + Sync)>,
     ) -> Result<(cli::RunSummary, Vec<String>, usize), String> {
-        let rolling = memory == MemoryMode::Rolling
-            && cli::rolling_supported(&req.problem)
-            && tier != lddp_core::kernel::ExecTier::BitParallel;
         // Rolling solves never materialize a grid, so there is nothing
         // for a cross-device MultiPlan split to band — they always run
         // whole on the placed pool.
-        if req.n >= FLEET_MULTI_N && self.injector.is_none() && !rolling {
+        if req.n >= FLEET_MULTI_N
+            && self.injector.is_none()
+            && !cli::serves_rolling(&req.problem, config.memory_mode, Some(config.tier))
+        {
             // An Err here (e.g. a pattern the k-way band split cannot
             // express) is not fatal — the placed pool solves it whole.
-            if let Ok(summary) =
-                cli::run_solve_multi(&req.problem, req.n, params, FLEET_SPLIT_DEVICES)
-            {
+            let split = cli::run_solve_multi(
+                &req.problem,
+                req.n,
+                config.params,
+                FLEET_SPLIT_DEVICES,
+                emit,
+            );
+            if let Ok(summary) = split {
                 return Ok((summary, Vec::new(), FLEET_SPLIT_DEVICES));
             }
         }
         let pool = self.fleet.pool(idx);
+        let spec = cli::ServedSpec {
+            params: config.params,
+            tier: Some(config.tier),
+            memory: config.memory_mode,
+            injector: self.injector.as_deref(),
+            emit,
+        };
         let platform = cost_platform(&pool.spec.name);
-        match (&self.injector, rolling) {
-            (Some(inj), true) => {
-                let (summary, degraded) = cli::run_solve_rolling_chaos(
-                    &req.problem,
-                    req.n,
-                    platform,
-                    params,
-                    Some(tier),
-                    &pool.engine,
-                    inj.as_ref(),
-                )?;
-                Ok((summary, degraded, 1))
-            }
-            (Some(inj), false) => {
-                let (summary, degraded) = cli::run_solve_pooled_chaos(
-                    &req.problem,
-                    req.n,
-                    platform,
-                    params,
-                    Some(tier),
-                    &pool.engine,
-                    inj.as_ref(),
-                )?;
-                Ok((summary, degraded, 1))
-            }
-            (None, true) => {
-                let summary = cli::run_solve_rolling(
-                    &req.problem,
-                    req.n,
-                    platform,
-                    params,
-                    Some(tier),
-                    &pool.engine,
-                )?;
-                Ok((summary, Vec::new(), 1))
-            }
-            (None, false) => {
-                let summary = cli::run_solve_pooled(
-                    &req.problem,
-                    req.n,
-                    platform,
-                    params,
-                    Some(tier),
-                    &pool.engine,
-                )?;
-                Ok((summary, Vec::new(), 1))
-            }
+        let (summary, degraded) =
+            cli::run_solve_served(&req.problem, req.n, platform, &pool.engine, &spec)?;
+        Ok((summary, degraded, 1))
+    }
+
+    /// Solves one request under its batch plan on the placed pool,
+    /// bracketed by that pool's backlog and recorded in the fleet
+    /// metrics.
+    fn solve_planned(
+        &self,
+        req: &SolveRequest,
+        plan: &BatchPlan,
+        emit: Option<&(dyn Fn(lddp_core::rolling::BandEvent) -> bool + Sync)>,
+    ) -> Result<BackendSolve, String> {
+        let idx = plan
+            .placement
+            .as_deref()
+            .and_then(|name| self.fleet.index_of(name))
+            .unwrap_or(0);
+        let predicted = plan.predicted_s.unwrap_or(0.0);
+        // Backlog brackets the solve so concurrent placements see this
+        // pool's in-flight work, attributed to the request's service
+        // class; metrics record the outcome either way.
+        let class = req.priority.index();
+        self.fleet.dispatcher().begin_for(idx, predicted, class);
+        self.publish_backlog(idx, class);
+        let started = Instant::now();
+        let result = self.solve_on(req, idx, plan.config, emit);
+        let actual = started.elapsed().as_secs_f64();
+        self.fleet.dispatcher().finish_for(idx, predicted, class);
+        self.publish_backlog(idx, class);
+
+        let (summary, degraded, devices) = result?;
+        if devices > 1 {
+            self.fleet.metrics().on_split(devices);
         }
+        self.fleet
+            .metrics()
+            .on_finish(idx, predicted, actual, !degraded.is_empty());
+        let placed_on = Some(self.fleet.pool(idx).spec.name.clone());
+        Ok(backend_solve(summary, degraded, placed_on, devices))
     }
 }
 
 impl SolveBackend for FleetBackend {
     fn validate(&self, req: &SolveRequest) -> Result<(), String> {
-        if !cli::PROBLEMS.contains(&req.problem.as_str()) {
-            return Err(format!(
-                "unknown problem \"{}\"; expected one of {}",
-                req.problem,
-                cli::PROBLEMS.join(", ")
-            ));
-        }
-        if req.n < 2 {
-            return Err("\"n\" must be at least 2".to_string());
-        }
-        if req.n > crate::serve_backend::MAX_SERVE_N {
-            return Err(format!(
-                "\"n\" exceeds the serving cap of {}",
-                crate::serve_backend::MAX_SERVE_N
-            ));
-        }
         // In fleet mode the request's platform is a cost-model hint the
         // dispatcher overrides; any fleet preset name is admissible.
-        if req.platform != "high" && req.platform != "low" && req.platform != "cpu-only" {
-            return Err(format!(
-                "unknown platform \"{}\"; expected high, low, or cpu-only",
-                req.platform
-            ));
-        }
-        if req.memory_mode == Some(MemoryMode::Rolling) && !cli::rolling_supported(&req.problem) {
-            return Err(format!(
-                "problem \"{}\" has no rolling-mode solve (its answer needs the full table)",
-                req.problem
-            ));
-        }
-        Ok(())
+        validate_request(req, &["high", "low", "cpu-only"])
     }
 
     fn tune(
@@ -384,149 +362,17 @@ impl SolveBackend for FleetBackend {
         plan: &BatchPlan,
         _sink: &dyn TraceSink,
     ) -> Result<BackendSolve, String> {
-        let idx = plan
-            .placement
-            .as_deref()
-            .and_then(|name| self.fleet.index_of(name))
-            .unwrap_or(0);
-        let predicted = plan.predicted_s.unwrap_or(0.0);
-        // Cached (or pinned) parameters may come from a different
-        // instance in the same bucket; re-legalize for this exact size.
-        let pattern = cli::classify_problem(&req.problem, req.n)?;
-        let clamped = plan
-            .config
-            .params
-            .clamped_for(pattern, Dims::new(req.n, req.n));
-
-        // Backlog brackets the solve so concurrent placements see this
-        // pool's in-flight work, attributed to the request's service
-        // class; metrics record the outcome either way.
-        let class = req.priority.index();
-        self.fleet.dispatcher().begin_for(idx, predicted, class);
-        self.publish_backlog(idx, class);
-        let started = Instant::now();
-        let result = self.solve_on(req, idx, clamped, plan.config.tier, plan.config.memory_mode);
-        let actual = started.elapsed().as_secs_f64();
-        self.fleet.dispatcher().finish_for(idx, predicted, class);
-        self.publish_backlog(idx, class);
-
-        let (summary, degraded, devices) = result?;
-        if devices > 1 {
-            self.fleet.metrics().on_split(devices);
-        }
-        self.fleet
-            .metrics()
-            .on_finish(idx, predicted, actual, !degraded.is_empty());
-        Ok(BackendSolve {
-            answer: summary.answer,
-            virtual_ms: summary.hetero_ms,
-            params: summary.params,
-            tier: summary.tier,
-            memory_mode: summary.memory_mode,
-            table_bytes: summary.table_bytes,
-            degraded,
-            placed_on: Some(self.fleet.pool(idx).spec.name.clone()),
-            devices,
-        })
+        self.solve_planned(req, plan, None)
     }
 
     fn solve_streamed(
         &self,
         req: &SolveRequest,
         plan: &BatchPlan,
-        sink: &dyn TraceSink,
+        _sink: &dyn TraceSink,
         emit: &(dyn Fn(BandFrame) -> bool + Sync),
     ) -> Result<BackendSolve, String> {
-        // Chaos campaigns keep the non-streamed degradation ladder, and
-        // full-table-answer problems below the multi threshold have no
-        // band path: both fall back to the plain placed solve (zero
-        // band frames, then the done frame).
-        let pattern = cli::classify_problem(&req.problem, req.n)?;
-        let multi_eligible = req.n >= FLEET_MULTI_N && pattern.is_canonical();
-        if self.injector.is_some() || !(cli::rolling_supported(&req.problem) || multi_eligible) {
-            return self.solve_placed(req, plan, sink);
-        }
-        let idx = plan
-            .placement
-            .as_deref()
-            .and_then(|name| self.fleet.index_of(name))
-            .unwrap_or(0);
-        let predicted = plan.predicted_s.unwrap_or(0.0);
-        let clamped = plan
-            .config
-            .params
-            .clamped_for(pattern, Dims::new(req.n, req.n));
-        let rolling_mode = plan.config.memory_mode == MemoryMode::Rolling
-            && cli::rolling_supported(&req.problem)
-            && plan.config.tier != ExecTier::BitParallel;
-
-        // Same backlog brackets as `solve_placed`: concurrent
-        // placements must see streamed work in flight too.
-        let class = req.priority.index();
-        self.fleet.dispatcher().begin_for(idx, predicted, class);
-        self.publish_backlog(idx, class);
-        let started = Instant::now();
-        let bridge =
-            |ev: lddp_core::rolling::BandEvent| emit(crate::serve_backend::band_frame_of(ev));
-        let result: Result<(cli::RunSummary, usize), String> = (|| {
-            // Routing mirrors `solve_on`: large non-rolling grids go
-            // through the cross-device MultiPlan split, streaming one
-            // frame per device band as the table reassembles.
-            if req.n >= FLEET_MULTI_N && !rolling_mode {
-                if let Ok(summary) = cli::run_solve_multi_stream(
-                    &req.problem,
-                    req.n,
-                    clamped,
-                    FLEET_SPLIT_DEVICES,
-                    &bridge,
-                ) {
-                    return Ok((summary, FLEET_SPLIT_DEVICES));
-                }
-            }
-            // Wave problems stream bands off the placed pool's rolling
-            // path (forced: a full-table solve has no sealed bands to
-            // publish; the answers are byte-identical). Anything left
-            // — a multi-eligible problem whose split fell through —
-            // solves whole, non-streamed, on the placed pool.
-            if cli::rolling_supported(&req.problem) {
-                let pool = self.fleet.pool(idx);
-                let summary = cli::run_solve_rolling_stream(
-                    &req.problem,
-                    req.n,
-                    cost_platform(&pool.spec.name),
-                    clamped,
-                    Some(plan.config.tier),
-                    &pool.engine,
-                    crate::serve_backend::STREAM_BANDS,
-                    &bridge,
-                )?;
-                return Ok((summary, 1));
-            }
-            self.solve_on(req, idx, clamped, plan.config.tier, plan.config.memory_mode)
-                .map(|(summary, _degraded, devices)| (summary, devices))
-        })();
-        let actual = started.elapsed().as_secs_f64();
-        self.fleet.dispatcher().finish_for(idx, predicted, class);
-        self.publish_backlog(idx, class);
-
-        let (summary, devices) = result?;
-        if devices > 1 {
-            self.fleet.metrics().on_split(devices);
-        }
-        self.fleet
-            .metrics()
-            .on_finish(idx, predicted, actual, false);
-        Ok(BackendSolve {
-            answer: summary.answer,
-            virtual_ms: summary.hetero_ms,
-            params: summary.params,
-            tier: summary.tier,
-            memory_mode: summary.memory_mode,
-            table_bytes: summary.table_bytes,
-            degraded: Vec::new(),
-            placed_on: Some(self.fleet.pool(idx).spec.name.clone()),
-            devices,
-        })
+        self.solve_planned(req, plan, Some(&|ev| emit(band_frame_of(ev))))
     }
 
     fn pool_health(&self) -> Vec<PoolHealth> {
@@ -550,6 +396,7 @@ impl SolveBackend for FleetBackend {
 mod tests {
     use super::*;
     use lddp_chaos::{FaultPlan, FaultPlanConfig};
+    use lddp_core::kernel::MemoryMode;
     use lddp_trace::NullSink;
 
     #[test]
@@ -597,19 +444,37 @@ mod tests {
 
     #[test]
     fn placed_solves_match_the_sequential_oracle() {
-        let b = FleetBackend::new();
-        for problem in ["lcs", "checkerboard", "dithering"] {
-            let req = SolveRequest::new(problem, 48);
-            let plan = b.plan(&req, &NullSink).unwrap();
-            let served = b.solve_placed(&req, &plan, &NullSink).unwrap();
-            let oracle = cli::run_solve_seq(problem, 48).unwrap();
-            assert_eq!(served.answer, oracle, "{problem}");
-            assert_eq!(served.devices, 1);
-            assert!(served.placed_on.is_some());
-        }
-        // Backlog fully released after the batch drained.
-        for i in 0..b.fleet().len() {
-            assert_eq!(b.fleet().dispatcher().backlog(i), 0.0);
+        // Every registry problem, plain and with an inactive fault plan
+        // (which still routes the pools through their ladder); rolling
+        // memory and the streamed path too where the problem has a
+        // rolling answer.
+        let inactive = Arc::new(FaultPlan::new(7, FaultPlanConfig::none()));
+        for b in [FleetBackend::new(), FleetBackend::with_injector(inactive)] {
+            let injected = b.injector.is_some();
+            for &problem in cli::PROBLEMS {
+                let label = format!("{problem} injected={injected}");
+                let req = SolveRequest::new(problem, 48);
+                let oracle = cli::run_solve_seq(problem, 48).unwrap();
+                let plan = b.plan(&req, &NullSink).unwrap();
+                let mut served = vec![b.solve_placed(&req, &plan, &NullSink).unwrap()];
+                if cli::rolling_supported(problem) {
+                    let rolling = BatchPlan {
+                        config: plan.config.with_memory_mode(MemoryMode::Rolling),
+                        ..plan.clone()
+                    };
+                    served.push(b.solve_placed(&req, &rolling, &NullSink).unwrap());
+                    served.push(b.solve_streamed(&req, &plan, &NullSink, &|_| true).unwrap());
+                }
+                for s in served {
+                    assert_eq!(s.answer, oracle, "{label}");
+                    assert_eq!(s.devices, 1);
+                    assert!(s.placed_on.is_some());
+                }
+            }
+            // Backlog fully released after the batch drained.
+            for i in 0..b.fleet().len() {
+                assert_eq!(b.fleet().dispatcher().backlog(i), 0.0);
+            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! The [`SolveBackend`] that wires `lddp-serve` to the [`Framework`]:
+//! The [`SolveBackend`] that wires `lddp-serve` to the [`Framework`](crate::Framework):
 //! validation against the CLI problem registry, §V-A tuning amortized
 //! through a [`TunerCache`], and traced heterogeneous solves.
 //!
@@ -8,7 +8,7 @@
 
 use crate::cli;
 use lddp_chaos::FaultInjector;
-use lddp_core::kernel::{ExecTier, MemoryMode};
+use lddp_core::kernel::MemoryMode;
 use lddp_core::schedule::ScheduleParams;
 use lddp_core::tuner_cache::{TuneKey, TunedConfig, TunerCache};
 use lddp_core::wavefront::Dims;
@@ -45,6 +45,64 @@ pub(crate) fn band_frame_of(ev: lddp_core::rolling::BandEvent) -> BandFrame {
         score: ev.score,
         best: ev.best,
         elapsed_ms: 0.0,
+    }
+}
+
+/// Checks `req` against the problem registry, the size bounds and the
+/// admissible platform names — the validation every serving backend
+/// shares.
+pub(crate) fn validate_request(req: &SolveRequest, platforms: &[&str]) -> Result<(), String> {
+    if !cli::PROBLEMS.contains(&req.problem.as_str()) {
+        return Err(format!(
+            "unknown problem \"{}\"; expected one of {}",
+            req.problem,
+            cli::PROBLEMS.join(", ")
+        ));
+    }
+    if req.n < 2 {
+        return Err("\"n\" must be at least 2".to_string());
+    }
+    if req.n > MAX_SERVE_N {
+        return Err(format!("\"n\" exceeds the serving cap of {MAX_SERVE_N}"));
+    }
+    if !platforms.contains(&req.platform.as_str()) {
+        let expected = match platforms {
+            [a, b] => format!("{a} or {b}"),
+            [rest @ .., last] => format!("{}, or {last}", rest.join(", ")),
+            [] => String::new(),
+        };
+        return Err(format!(
+            "unknown platform \"{}\"; expected {expected}",
+            req.platform
+        ));
+    }
+    if req.memory_mode == Some(MemoryMode::Rolling) && !cli::rolling_supported(&req.problem) {
+        return Err(format!(
+            "problem \"{}\" has no rolling-mode solve (its answer needs the full table)",
+            req.problem
+        ));
+    }
+    Ok(())
+}
+
+/// The wire result of a served solve: its summary, the degradation
+/// rungs taken, and where it ran.
+pub(crate) fn backend_solve(
+    summary: cli::RunSummary,
+    degraded: Vec<String>,
+    placed_on: Option<String>,
+    devices: usize,
+) -> BackendSolve {
+    BackendSolve {
+        answer: summary.answer,
+        virtual_ms: summary.hetero_ms,
+        params: summary.params,
+        tier: summary.tier,
+        memory_mode: summary.memory_mode,
+        table_bytes: summary.table_bytes,
+        degraded,
+        placed_on,
+        devices,
     }
 }
 
@@ -133,36 +191,34 @@ impl FrameworkBackend {
             req.platform.clone(),
         ))
     }
+
+    /// Runs one request on the shared pooled engine through the
+    /// served-solve dispatcher. The serve spans (queue wait, batch,
+    /// solve) come from the server; the per-wave framework trace is
+    /// deliberately skipped here, as it would emit thousands of spans
+    /// per request.
+    fn serve(
+        &self,
+        req: &SolveRequest,
+        config: TunedConfig,
+        emit: Option<&(dyn Fn(lddp_core::rolling::BandEvent) -> bool + Sync)>,
+    ) -> Result<BackendSolve, String> {
+        let spec = cli::ServedSpec {
+            params: config.params,
+            tier: Some(config.tier),
+            memory: config.memory_mode,
+            injector: self.injector.as_deref(),
+            emit,
+        };
+        let (summary, degraded) =
+            cli::run_solve_served(&req.problem, req.n, &req.platform, &self.engine, &spec)?;
+        Ok(backend_solve(summary, degraded, None, 1))
+    }
 }
 
 impl SolveBackend for FrameworkBackend {
     fn validate(&self, req: &SolveRequest) -> Result<(), String> {
-        if !cli::PROBLEMS.contains(&req.problem.as_str()) {
-            return Err(format!(
-                "unknown problem \"{}\"; expected one of {}",
-                req.problem,
-                cli::PROBLEMS.join(", ")
-            ));
-        }
-        if req.n < 2 {
-            return Err("\"n\" must be at least 2".to_string());
-        }
-        if req.n > MAX_SERVE_N {
-            return Err(format!("\"n\" exceeds the serving cap of {MAX_SERVE_N}"));
-        }
-        if req.platform != "high" && req.platform != "low" {
-            return Err(format!(
-                "unknown platform \"{}\"; expected high or low",
-                req.platform
-            ));
-        }
-        if req.memory_mode == Some(MemoryMode::Rolling) && !cli::rolling_supported(&req.problem) {
-            return Err(format!(
-                "problem \"{}\" has no rolling-mode solve (its answer needs the full table)",
-                req.problem
-            ));
-        }
-        Ok(())
+        validate_request(req, &["high", "low"])
     }
 
     fn tune(
@@ -236,126 +292,24 @@ impl SolveBackend for FrameworkBackend {
         config: TunedConfig,
         _sink: &dyn TraceSink,
     ) -> Result<BackendSolve, String> {
-        // Cached (or pinned) parameters may have been produced for a
-        // different instance in the same bucket; re-legalize for this
-        // exact size before planning.
-        let pattern = cli::classify_problem(&req.problem, req.n)?;
-        let clamped = config.params.clamped_for(pattern, Dims::new(req.n, req.n));
-        // The table is computed on the shared pooled engine — the serve
-        // spans (queue wait, batch, solve) come from the server; the
-        // per-wave framework trace is deliberately skipped here, as it
-        // would emit thousands of spans per request. Rolling-mode
-        // batches route through the score-only wave-band path instead
-        // of materializing the grid.
-        let rolling = config.memory_mode == MemoryMode::Rolling
-            && cli::rolling_supported(&req.problem)
-            && config.tier != ExecTier::BitParallel;
-        let (summary, degraded) = match (&self.injector, rolling) {
-            (Some(inj), true) => cli::run_solve_rolling_chaos(
-                &req.problem,
-                req.n,
-                &req.platform,
-                clamped,
-                Some(config.tier),
-                &self.engine,
-                inj.as_ref(),
-            )?,
-            (Some(inj), false) => cli::run_solve_pooled_chaos(
-                &req.problem,
-                req.n,
-                &req.platform,
-                clamped,
-                Some(config.tier),
-                &self.engine,
-                inj.as_ref(),
-            )?,
-            (None, true) => {
-                let summary = cli::run_solve_rolling(
-                    &req.problem,
-                    req.n,
-                    &req.platform,
-                    clamped,
-                    Some(config.tier),
-                    &self.engine,
-                )?;
-                (summary, Vec::new())
-            }
-            (None, false) => {
-                let summary = cli::run_solve_pooled(
-                    &req.problem,
-                    req.n,
-                    &req.platform,
-                    clamped,
-                    Some(config.tier),
-                    &self.engine,
-                )?;
-                (summary, Vec::new())
-            }
-        };
-        Ok(BackendSolve {
-            answer: summary.answer,
-            virtual_ms: summary.hetero_ms,
-            params: summary.params,
-            tier: summary.tier,
-            memory_mode: summary.memory_mode,
-            table_bytes: summary.table_bytes,
-            degraded,
-            placed_on: None,
-            devices: 1,
-        })
+        self.serve(req, config, None)
     }
 
     fn solve_streamed(
         &self,
         req: &SolveRequest,
         plan: &BatchPlan,
-        sink: &dyn TraceSink,
+        _sink: &dyn TraceSink,
         emit: &(dyn Fn(BandFrame) -> bool + Sync),
     ) -> Result<BackendSolve, String> {
-        // Streaming needs sealed bands to publish: problems whose
-        // answer needs the full table have no band path, and chaos
-        // campaigns keep the non-streamed degradation ladder. Both
-        // fall back to the plain placed solve — the client sees zero
-        // band frames, then the done frame.
-        if self.injector.is_some() || !cli::rolling_supported(&req.problem) {
-            return self.solve_placed(req, plan, sink);
-        }
-        let config = plan.config;
-        let pattern = cli::classify_problem(&req.problem, req.n)?;
-        let clamped = config.params.clamped_for(pattern, Dims::new(req.n, req.n));
-        // The rolling band path runs regardless of the tuner's
-        // memory-mode choice: a full-table solve only produces its
-        // corner at the very end, which would hold the first frame
-        // back for the entire solve. Rolling answers are
-        // byte-identical to the full-table ones, so the done frame
-        // matches a non-streamed solve of the same request.
-        let summary = cli::run_solve_rolling_stream(
-            &req.problem,
-            req.n,
-            &req.platform,
-            clamped,
-            Some(config.tier),
-            &self.engine,
-            STREAM_BANDS,
-            &|ev| emit(band_frame_of(ev)),
-        )?;
-        Ok(BackendSolve {
-            answer: summary.answer,
-            virtual_ms: summary.hetero_ms,
-            params: summary.params,
-            tier: summary.tier,
-            memory_mode: summary.memory_mode,
-            table_bytes: summary.table_bytes,
-            degraded: Vec::new(),
-            placed_on: None,
-            devices: 1,
-        })
+        self.serve(req, plan.config, Some(&|ev| emit(band_frame_of(ev))))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lddp_chaos::{FaultPlan, FaultPlanConfig};
     use lddp_core::kernel::ExecTier;
     use lddp_core::schedule::ScheduleParams;
     use lddp_trace::NullSink;
@@ -412,13 +366,38 @@ mod tests {
 
     #[test]
     fn solve_answer_matches_sequential_oracle() {
-        let b = FrameworkBackend::new();
-        for problem in ["lcs", "levenshtein", "weighted-edit", "dithering"] {
-            let req = SolveRequest::new(problem, 48);
-            let (config, _) = b.tune(&req, &NullSink).unwrap();
-            let served = b.solve(&req, config, &NullSink).unwrap();
-            let oracle = crate::cli::run_solve_seq(problem, 48).unwrap();
-            assert_eq!(served.answer, oracle, "{problem}");
+        // Every registry problem, plain and with an inactive fault plan
+        // (which still routes the engine through its ladder); rolling
+        // memory and the streamed path too where the problem has a
+        // rolling answer.
+        let inactive = Arc::new(FaultPlan::new(7, FaultPlanConfig::none()));
+        for b in [
+            FrameworkBackend::new(),
+            FrameworkBackend::with_injector(inactive),
+        ] {
+            let injected = b.injector.is_some();
+            for &problem in cli::PROBLEMS {
+                let label = format!("{problem} injected={injected}");
+                let req = SolveRequest::new(problem, 48);
+                let oracle = cli::run_solve_seq(problem, 48).unwrap();
+                let (config, _) = b.tune(&req, &NullSink).unwrap();
+                let served = b.solve(&req, config, &NullSink).unwrap();
+                assert_eq!(served.answer, oracle, "{label}");
+                if !cli::rolling_supported(problem) {
+                    continue;
+                }
+                let rolling = config.with_memory_mode(MemoryMode::Rolling);
+                let served = b.solve(&req, rolling, &NullSink).unwrap();
+                assert_eq!(served.answer, oracle, "{label} rolling");
+                let plan = BatchPlan {
+                    config,
+                    cache_hit: false,
+                    placement: None,
+                    predicted_s: None,
+                };
+                let streamed = b.solve_streamed(&req, &plan, &NullSink, &|_| true).unwrap();
+                assert_eq!(streamed.answer, oracle, "{label} streamed");
+            }
         }
     }
 

@@ -2,11 +2,11 @@
 //! sequential oracle, the real thread engine, and the simulated
 //! heterogeneous framework must produce identical tables.
 
-use lddp::core::kernel::Kernel;
+use lddp::core::kernel::{ExecTier, Kernel, MemoryMode};
 use lddp::core::pattern::classify;
 use lddp::core::seq::solve_row_major;
 use lddp::core::ContributingSet;
-use lddp::parallel::ParallelEngine;
+use lddp::parallel::{ParallelEngine, SolveSpec};
 use lddp::platforms::{hetero_high, hetero_low};
 use lddp::problems::synthetic::mix_kernel;
 use lddp::Framework;
@@ -83,7 +83,7 @@ fn assert_bulk_matches_scalar<K: lddp::core::kernel::Kernel>(kernel: &K, label: 
     for threads in [1, 2, 5] {
         let bulk = ParallelEngine::new(threads).solve(kernel).unwrap();
         let scalar = ParallelEngine::new(threads)
-            .with_bulk_enabled(false)
+            .with_tier(Some(ExecTier::Scalar))
             .solve(kernel)
             .unwrap();
         assert_eq!(
@@ -268,7 +268,7 @@ fn bulk_path_is_bit_identical_for_dtw() {
             // outside the band), not merely by PartialEq.
             let bulk = ParallelEngine::new(5).solve(&kernel).unwrap();
             let scalar = ParallelEngine::new(5)
-                .with_bulk_enabled(false)
+                .with_tier(Some(ExecTier::Scalar))
                 .solve(&kernel)
                 .unwrap();
             let bits = |g: &lddp::core::grid::Grid<f32>| -> Vec<u32> {
@@ -502,9 +502,13 @@ fn rolling_mode_survives_chaos_with_oracle_answers() {
     let mut degradations = 0usize;
     for seed in 0..24u64 {
         let plan = FaultPlan::new(seed, cfg);
-        let (got, steps) = ParallelEngine::new(4)
-            .solve_rolling_degrading(&kernel, None, &plan)
-            .unwrap();
+        let spec = SolveSpec {
+            memory: MemoryMode::Rolling,
+            injector: Some(&plan),
+            ..SolveSpec::default()
+        };
+        let (got, steps) = ParallelEngine::new(4).solve_with(&kernel, &spec).unwrap();
+        let got = got.rolling().unwrap();
         assert_eq!(got.corner, Some(want), "seed {seed} steps {steps:?}");
         degradations += steps.len();
     }

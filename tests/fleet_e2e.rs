@@ -140,7 +140,7 @@ fn cross_device_splits_reassemble_for_five_problems() {
         "smith-waterman",
         "dtw",
     ] {
-        let multi = lddp::cli::run_solve_multi(problem, 48, params, 3).unwrap();
+        let multi = lddp::cli::run_solve_multi(problem, 48, params, 3, None).unwrap();
         let oracle = lddp::cli::run_solve_seq(problem, 48).unwrap();
         assert_eq!(multi.answer, oracle, "{problem} 3-way split");
         // Device counts survive into the summary line.
