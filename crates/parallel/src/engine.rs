@@ -1145,49 +1145,24 @@ impl ParallelEngine {
         let (tier, bulk_kernel) = self.resolve_exec(kernel, pattern);
         let lanes = bulk_kernel.map_or(1, |e| e.lanes());
 
-        if threads == 1 && !traced {
-            if bulk_kernel.is_none() {
-                return lddp_core::seq::solve_wavefront_as(kernel, pattern, layout_kind);
-            }
-            // Single-threaded bulk: same run decomposition, no pool.
-            let layout = grid.layout().clone();
-            let cells = SharedCells::new(grid.as_mut_slice());
-            for w in 0..num_waves {
-                let len = pattern.wave_len(dims.rows, dims.cols, w);
-                let runs = layout.interior_runs(pattern, set, w);
-                // SAFETY: one thread computes waves in order; every
-                // dependency of wave `w` was written in an earlier wave.
-                unsafe {
-                    compute_chunk_auto(
-                        kernel,
-                        bulk_kernel,
-                        set,
-                        pattern,
-                        dims,
-                        &layout,
-                        &runs,
-                        &cells,
-                        w,
-                        0..len,
-                    );
-                }
-            }
-            return Ok(grid);
+        if threads == 1 && !traced && bulk_kernel.is_none() {
+            return lddp_core::seq::solve_wavefront_as(kernel, pattern, layout_kind);
         }
 
-        // Single thread, instrumented, no injector: the pool cannot win
-        // with one worker — dispatching to it would pay job hand-off,
-        // a spin barrier per wave, and a worker context switch for no
-        // parallelism. Compute inline on the calling thread and emit
-        // the same spans and live families from here. (Faulted runs
-        // stay on the pool so injected panics keep their isolation and
-        // per-(worker, wave) draw sequence.)
-        if threads == 1 && injector.is_none() {
+        // Single thread: the pool cannot win with one worker —
+        // dispatching to it would pay job hand-off, a spin barrier per
+        // wave, and a worker context switch for no parallelism. Compute
+        // inline on the calling thread and emit the same spans and live
+        // families from here. Instrumented faulted runs stay on the
+        // pool so injected panics keep their isolation and
+        // per-(worker, wave) draw sequence; an untraced single-thread
+        // run draws no faults.
+        if threads == 1 && (!traced || injector.is_none()) {
             let layout = grid.layout().clone();
             let cells = SharedCells::new(grid.as_mut_slice());
             let epoch = Instant::now();
             let want_spans = sink.enabled();
-            let mut spans: Vec<(usize, f64, f64, usize)> = Vec::new();
+            let mut tr = WorkerTrace::default();
             let mut t0 = 0.0;
             for w in 0..num_waves {
                 let len = pattern.wave_len(dims.rows, dims.cols, w);
@@ -1196,7 +1171,8 @@ impl ParallelEngine {
                 } else {
                     Vec::new()
                 };
-                // SAFETY: as in the untraced single-threaded path.
+                // SAFETY: one thread computes waves in order; every
+                // dependency of wave `w` was written in an earlier wave.
                 unsafe {
                     compute_chunk_auto(
                         kernel,
@@ -1216,51 +1192,14 @@ impl ParallelEngine {
                 if want_spans {
                     let t1 = epoch.elapsed().as_secs_f64();
                     if len > 0 {
-                        spans.push((w, t0, t1 - t0, len));
+                        tr.spans.push((w, t0, t1 - t0, len));
                     }
                     t0 = t1;
                 }
             }
-            let busy_s = epoch.elapsed().as_secs_f64();
-            if want_spans {
-                for &(w, start_s, dur_s, owned) in &spans {
-                    sink.span(
-                        Span::new("wave", tracks::worker(0), start_s, dur_s)
-                            .with_arg("wave", w)
-                            .with_arg("cells", owned)
-                            .with_arg("tier", tier.as_str()),
-                    );
-                }
-                sink.sample(tracks::worker(0), "worker.busy_s", busy_s, busy_s);
-                sink.count("parallel.waves", num_waves as u64);
-                sink.count("parallel.cells", dims.len() as u64);
-                sink.count("parallel.workers", 1);
-                sink.count(
-                    match tier {
-                        ExecTier::Scalar => "parallel.tier.scalar",
-                        ExecTier::Bulk => "parallel.tier.bulk",
-                        ExecTier::Simd => "parallel.tier.simd",
-                        ExecTier::BitParallel => "parallel.tier.bitparallel",
-                    },
-                    1,
-                );
-            }
-            if let Some(live) = live {
-                // Register the barrier family too (zero observations:
-                // no barrier ran) so the exposition keeps its shape
-                // regardless of thread count.
-                live.histogram(
-                    "lddp_pool_barrier_wait_seconds",
-                    &[],
-                    "Time pool workers spent blocked at the inter-wave barrier.",
-                );
-                live.fcounter(
-                    "lddp_pool_worker_busy_seconds_total",
-                    &[("worker", "0")],
-                    "Cumulative compute time per pool worker.",
-                )
-                .add(busy_s);
-                record_pool_solve(live, tier, num_waves, dims.len());
+            if traced {
+                tr.busy_s = epoch.elapsed().as_secs_f64();
+                emit_solve(sink, live, tier, num_waves, dims.len(), tr.busy_s, &[tr]);
             }
             return Ok(grid);
         }
@@ -1304,39 +1243,11 @@ impl ParallelEngine {
             }
         };
 
-        if !traced {
-            let r = pool.try_run(threads, &|t| {
-                for w in 0..num_waves {
-                    inject(t, w);
-                    let len = pattern.wave_len(dims.rows, dims.cols, w);
-                    let runs = runs_by_wave.get(w).unwrap_or(&no_runs);
-                    // SAFETY: chunks of a wave are disjoint across
-                    // workers; the pool barrier seals each wave before
-                    // the next reads it.
-                    unsafe {
-                        compute_chunk_auto(
-                            kernel,
-                            bulk_kernel,
-                            set,
-                            pattern,
-                            dims,
-                            &layout,
-                            runs,
-                            &cells,
-                            w,
-                            chunk_aligned(t, threads, len, lanes),
-                        );
-                    }
-                    pool.barrier().wait();
-                }
-            });
-            Self::map_pool_result(pool, r)?;
-            return Ok(grid);
-        }
-
         let epoch = Instant::now();
         // Spans only feed the sink; on a live-registry-only run, skip
-        // collecting them (the registry needs just the aggregates).
+        // collecting them (the registry needs just the aggregates). An
+        // untraced run reads no clock inside the loop and records
+        // nothing.
         let want_spans = sink.enabled();
         let slots: Vec<Mutex<WorkerTrace>> = (0..threads)
             .map(|_| Mutex::new(WorkerTrace::default()))
@@ -1346,14 +1257,20 @@ impl ParallelEngine {
             // Two clock reads per wave, not three: each wave starts at
             // the previous wave's barrier exit (the inter-wave setup it
             // absorbs into busy time is tens of nanoseconds).
-            let mut t0 = epoch.elapsed().as_secs_f64();
+            let mut t0 = if traced {
+                epoch.elapsed().as_secs_f64()
+            } else {
+                0.0
+            };
             for w in 0..num_waves {
                 inject(t, w);
                 let len = pattern.wave_len(dims.rows, dims.cols, w);
                 let my = chunk_aligned(t, threads, len, lanes);
                 let owned = my.len();
                 let runs = runs_by_wave.get(w).unwrap_or(&no_runs);
-                // SAFETY: as in the untraced path.
+                // SAFETY: chunks of a wave are disjoint across workers;
+                // the pool barrier seals each wave before the next
+                // reads it.
                 unsafe {
                     compute_chunk_auto(
                         kernel,
@@ -1368,6 +1285,10 @@ impl ParallelEngine {
                         my,
                     );
                 }
+                if !traced {
+                    pool.barrier().wait();
+                    continue;
+                }
                 let t1 = epoch.elapsed().as_secs_f64();
                 pool.barrier().wait();
                 let t2 = epoch.elapsed().as_secs_f64();
@@ -1378,64 +1299,93 @@ impl ParallelEngine {
                 tr.barrier_wait_s.push(t2 - t1);
                 t0 = t2;
             }
-            *slots[t].lock().unwrap_or_else(|e| e.into_inner()) = tr;
+            if traced {
+                *slots[t].lock().unwrap_or_else(|e| e.into_inner()) = tr;
+            }
         });
         Self::map_pool_result(pool, r)?;
-        let worker_traces: Vec<WorkerTrace> = slots
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .collect();
-
-        let total_s = epoch.elapsed().as_secs_f64();
-        if sink.enabled() {
-            for (t, tr) in worker_traces.iter().enumerate() {
-                for &(w, start_s, dur_s, owned) in &tr.spans {
-                    sink.span(
-                        Span::new("wave", tracks::worker(t), start_s, dur_s)
-                            .with_arg("wave", w)
-                            .with_arg("cells", owned)
-                            .with_arg("tier", tier.as_str()),
-                    );
-                }
-                sink.sample(tracks::worker(t), "worker.busy_s", total_s, tr.busy_s);
-                for &wait_s in &tr.barrier_wait_s {
-                    sink.observe("parallel.barrier_wait_s", wait_s);
-                }
-            }
-            sink.count("parallel.waves", num_waves as u64);
-            sink.count("parallel.cells", dims.len() as u64);
-            sink.count("parallel.workers", threads as u64);
-            sink.count(
-                match tier {
-                    ExecTier::Scalar => "parallel.tier.scalar",
-                    ExecTier::Bulk => "parallel.tier.bulk",
-                    ExecTier::Simd => "parallel.tier.simd",
-                    ExecTier::BitParallel => "parallel.tier.bitparallel",
-                },
-                1,
+        if traced {
+            let worker_traces: Vec<WorkerTrace> = slots
+                .into_iter()
+                .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
+                .collect();
+            let total_s = epoch.elapsed().as_secs_f64();
+            emit_solve(
+                sink,
+                live,
+                tier,
+                num_waves,
+                dims.len(),
+                total_s,
+                &worker_traces,
             );
         }
-        if let Some(live) = live {
-            let waits = live.histogram(
-                "lddp_pool_barrier_wait_seconds",
-                &[],
-                "Time pool workers spent blocked at the inter-wave barrier.",
-            );
-            for (t, tr) in worker_traces.iter().enumerate() {
-                live.fcounter(
-                    "lddp_pool_worker_busy_seconds_total",
-                    &[("worker", &t.to_string())],
-                    "Cumulative compute time per pool worker.",
-                )
-                .add(tr.busy_s);
-                for &wait_s in &tr.barrier_wait_s {
-                    waits.observe(wait_s);
-                }
-            }
-            record_pool_solve(live, tier, num_waves, dims.len());
-        }
-
         Ok(grid)
+    }
+}
+
+/// Emits one instrumented full-table solve from its per-worker traces:
+/// wave spans, busy samples, barrier waits and solve counters into the
+/// sink (when enabled), and worker busy time, barrier waits and the
+/// pool solve families into the live registry (when attached). Worker
+/// `t`'s trace is `traces[t]`; the inline single-thread path passes one
+/// trace with no barrier waits, which still registers the barrier
+/// family so the exposition keeps its shape regardless of thread count.
+fn emit_solve(
+    sink: &dyn TraceSink,
+    live: Option<&LiveRegistry>,
+    tier: ExecTier,
+    waves: usize,
+    cells: usize,
+    total_s: f64,
+    traces: &[WorkerTrace],
+) {
+    if sink.enabled() {
+        for (t, tr) in traces.iter().enumerate() {
+            for &(w, start_s, dur_s, owned) in &tr.spans {
+                sink.span(
+                    Span::new("wave", tracks::worker(t), start_s, dur_s)
+                        .with_arg("wave", w)
+                        .with_arg("cells", owned)
+                        .with_arg("tier", tier.as_str()),
+                );
+            }
+            sink.sample(tracks::worker(t), "worker.busy_s", total_s, tr.busy_s);
+            for &wait_s in &tr.barrier_wait_s {
+                sink.observe("parallel.barrier_wait_s", wait_s);
+            }
+        }
+        sink.count("parallel.waves", waves as u64);
+        sink.count("parallel.cells", cells as u64);
+        sink.count("parallel.workers", traces.len() as u64);
+        sink.count(
+            match tier {
+                ExecTier::Scalar => "parallel.tier.scalar",
+                ExecTier::Bulk => "parallel.tier.bulk",
+                ExecTier::Simd => "parallel.tier.simd",
+                ExecTier::BitParallel => "parallel.tier.bitparallel",
+            },
+            1,
+        );
+    }
+    if let Some(live) = live {
+        let waits = live.histogram(
+            "lddp_pool_barrier_wait_seconds",
+            &[],
+            "Time pool workers spent blocked at the inter-wave barrier.",
+        );
+        for (t, tr) in traces.iter().enumerate() {
+            live.fcounter(
+                "lddp_pool_worker_busy_seconds_total",
+                &[("worker", &t.to_string())],
+                "Cumulative compute time per pool worker.",
+            )
+            .add(tr.busy_s);
+            for &wait_s in &tr.barrier_wait_s {
+                waits.observe(wait_s);
+            }
+        }
+        record_pool_solve(live, tier, waves, cells);
     }
 }
 

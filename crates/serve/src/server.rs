@@ -485,9 +485,19 @@ impl<'a> Server<'a> {
         self.brownout_level.load(Ordering::Relaxed)
     }
 
+    /// Records a `serve.*` span: into the flight recorder always, and
+    /// into the trace sink when tracing is on. Every serve span goes
+    /// through here, so `/debug/trace` and the Chrome export agree.
+    fn emit_span(&self, span: Span) {
+        if self.sink.enabled() {
+            self.sink.span(span.clone());
+        }
+        self.live.flight().record_span(span);
+    }
+
     /// Feeds the ladder one queue-fill observation, publishing the new
-    /// level and recording any transition in the stats, the flight
-    /// recorder, and the trace sink.
+    /// level and recording any transition in the stats and as a
+    /// `serve.brownout` span.
     fn observe_pressure(&self) {
         let fill = self.queue.fill();
         let transition = {
@@ -512,10 +522,7 @@ impl<'a> Server<'a> {
             )
             .with_arg("from", t.from as u64)
             .with_arg("to", t.to as u64);
-            self.live.flight().record_span(span.clone());
-            if self.sink.enabled() {
-                self.sink.span(span);
-            }
+            self.emit_span(span);
         }
     }
 
@@ -596,16 +603,10 @@ impl<'a> Server<'a> {
     ) -> Result<(String, mpsc::Receiver<Result<SolveResponse, ServeError>>), RejectReason> {
         if let Err(msg) = self.backend.validate(&req) {
             self.stats.rejected_invalid.inc();
-            if self.sink.enabled() {
-                self.sink.count(catalog::CTR_REJECTED_INVALID, 1);
-            }
             return Err(RejectReason::Invalid(msg));
         }
         if let Err(wait) = self.breaker.allow() {
             self.stats.rejected_breaker.inc();
-            if self.sink.enabled() {
-                self.sink.count(catalog::CTR_REJECTED_BREAKER, 1);
-            }
             return Err(RejectReason::BreakerOpen {
                 retry_after_s: wait.as_secs().max(1),
             });
@@ -630,9 +631,6 @@ impl<'a> Server<'a> {
         }
         if let Err(retry_after_s) = self.check_tenant_quota(&req.tenant) {
             self.stats.rejected_tenant.inc();
-            if self.sink.enabled() {
-                self.sink.count(catalog::CTR_REJECTED_TENANT, 1);
-            }
             self.tenant_outcome(&req.tenant, "rejected");
             return Err(RejectReason::TenantQuota {
                 tenant: req.tenant.clone(),
@@ -663,9 +661,6 @@ impl<'a> Server<'a> {
                 if estimate.is_finite() && estimate > deadline_ms as f64 {
                     self.stats.rejected_infeasible.inc();
                     self.stats.class_shed[class].inc();
-                    if self.sink.enabled() {
-                        self.sink.count(catalog::CTR_REJECTED_INFEASIBLE, 1);
-                    }
                     self.tenant_outcome(&req.tenant, "rejected");
                     return Err(RejectReason::DeadlineInfeasible {
                         estimate_ms: estimate.ceil() as u64,
@@ -680,9 +675,6 @@ impl<'a> Server<'a> {
         if level >= 1 && req.priority == Priority::Batch {
             self.stats.rejected_brownout.inc();
             self.stats.class_shed[class].inc();
-            if self.sink.enabled() {
-                self.sink.count(catalog::CTR_REJECTED_BROWNOUT, 1);
-            }
             self.tenant_outcome(&req.tenant, "rejected");
             self.observe_pressure();
             return Err(RejectReason::BrownoutShed {
@@ -710,7 +702,6 @@ impl<'a> Server<'a> {
                 self.stats.class_accepted[class].inc();
                 self.tenant_outcome(&tenant, "accepted");
                 if self.sink.enabled() {
-                    self.sink.count(catalog::CTR_ACCEPTED, 1);
                     self.sink.sample(
                         tracks::SERVE_QUEUE,
                         catalog::SMP_QUEUE_DEPTH,
@@ -721,21 +712,15 @@ impl<'a> Server<'a> {
                 Ok((format!("{trace_id:016x}"), rx))
             }
             Err((_job, reason)) => {
-                let (counter, name) = match &reason {
+                let counter = match &reason {
                     RejectReason::QueueFull { .. } => {
                         self.stats.class_shed[class].inc();
-                        (&self.stats.rejected_full, catalog::CTR_REJECTED_FULL)
+                        &self.stats.rejected_full
                     }
-                    _ => (
-                        &self.stats.rejected_shutdown,
-                        catalog::CTR_REJECTED_SHUTDOWN,
-                    ),
+                    _ => &self.stats.rejected_shutdown,
                 };
                 counter.inc();
                 self.tenant_outcome(&tenant, "rejected");
-                if self.sink.enabled() {
-                    self.sink.count(name, 1);
-                }
                 Err(reason)
             }
         };
@@ -784,9 +769,6 @@ impl<'a> Server<'a> {
                 let waited = job.enqueued.elapsed();
                 self.stats.rejected_deadline.inc();
                 self.stats.class_shed[job.req.priority.index()].inc();
-                if self.sink.enabled() {
-                    self.sink.count(catalog::CTR_REJECTED_DEADLINE, 1);
-                }
                 let reason = RejectReason::DeadlineExceeded {
                     waited_ms: waited.as_millis() as u64,
                     deadline_ms: job.req.deadline_ms.unwrap_or(0),
@@ -819,9 +801,6 @@ impl<'a> Server<'a> {
     fn record_backend_failure(&self) {
         if self.breaker.record_failure() {
             self.stats.breaker_opens.inc();
-            if self.sink.enabled() {
-                self.sink.count(catalog::CTR_BREAKER_OPEN, 1);
-            }
         }
     }
 
@@ -850,17 +829,10 @@ impl<'a> Server<'a> {
             .with_arg("id", job.id)
             .with_arg("trace_id", format!("{:016x}", job.trace_id))
             .with_arg("problem", job.req.problem.clone());
-            self.live.flight().record_span(wait_span.clone());
-            if sink.enabled() {
-                sink.span(wait_span);
-                sink.observe(catalog::HIST_QUEUE_WAIT, waited.as_secs_f64());
-            }
+            self.emit_span(wait_span);
             if job.deadline.is_some_and(|d| picked_up > d) {
                 self.stats.rejected_deadline.inc();
                 self.stats.class_shed[job.req.priority.index()].inc();
-                if sink.enabled() {
-                    sink.count(catalog::CTR_REJECTED_DEADLINE, 1);
-                }
                 let reason = RejectReason::DeadlineExceeded {
                     waited_ms: waited.as_millis() as u64,
                     deadline_ms: job.req.deadline_ms.unwrap_or(0),
@@ -879,10 +851,6 @@ impl<'a> Server<'a> {
         self.stats.batches.inc();
         self.stats.batched_jobs.add(batch_size as u64);
         self.stats.batch_size.observe(batch_size as f64);
-        if sink.enabled() {
-            sink.count(catalog::CTR_BATCHES, 1);
-            sink.observe(catalog::HIST_BATCH_SIZE, batch_size as f64);
-        }
 
         // Brownout level ≥ 3: force the rolling (wave-band) memory
         // mode onto batch-class solves that support it — smaller
@@ -918,9 +886,6 @@ impl<'a> Server<'a> {
             Ok(Err(msg)) => {
                 self.record_backend_failure();
                 self.stats.errors.add(batch_size as u64);
-                if sink.enabled() {
-                    sink.count(catalog::CTR_ERRORS, batch_size as u64);
-                }
                 for (job, _) in live {
                     self.finish_job(job, Err(ServeError::Backend(msg.clone())));
                 }
@@ -930,9 +895,6 @@ impl<'a> Server<'a> {
                 let msg = panic_text(payload.as_ref());
                 self.record_backend_failure();
                 self.stats.panics.add(batch_size as u64);
-                if sink.enabled() {
-                    sink.count(catalog::CTR_PANICS, batch_size as u64);
-                }
                 for (job, _) in live {
                     self.finish_job(job, Err(ServeError::Panicked(msg.clone())));
                 }
@@ -940,12 +902,11 @@ impl<'a> Server<'a> {
             }
         };
         let cache_hit = plan.cache_hit;
-        let tune_ctr = if cache_hit {
-            &self.stats.tune_hits
+        if cache_hit {
+            self.stats.tune_hits.inc();
         } else {
-            &self.stats.tune_misses
-        };
-        tune_ctr.inc();
+            self.stats.tune_misses.inc();
+        }
         let mut tune_span = Span::new(
             catalog::SPAN_TUNE,
             lane,
@@ -957,18 +918,7 @@ impl<'a> Server<'a> {
         if let Some(placement) = &plan.placement {
             tune_span = tune_span.with_arg("placed_on", placement.clone());
         }
-        self.live.flight().record_span(tune_span.clone());
-        if sink.enabled() {
-            sink.span(tune_span);
-            sink.count(
-                if cache_hit {
-                    catalog::CTR_TUNE_HIT
-                } else {
-                    catalog::CTR_TUNE_MISS
-                },
-                1,
-            );
-        }
+        self.emit_span(tune_span);
 
         for (mut job, waited) in live {
             let solve_start = Instant::now();
@@ -1020,10 +970,7 @@ impl<'a> Server<'a> {
             .with_arg("trace_id", format!("{:016x}", job.trace_id))
             .with_arg("problem", job.req.problem.clone())
             .with_arg("n", job.req.n);
-            self.live.flight().record_span(solve_span.clone());
-            if sink.enabled() {
-                sink.span(solve_span);
-            }
+            self.emit_span(solve_span);
             let elapsed_ms = solve.as_millis() as u64;
             let overran = self
                 .config
@@ -1037,9 +984,6 @@ impl<'a> Server<'a> {
                     // as unhealthy as a failing one.
                     self.record_backend_failure();
                     self.stats.watchdog_timeouts.inc();
-                    if sink.enabled() {
-                        sink.count(catalog::CTR_WATCHDOG, 1);
-                    }
                     let err = ServeError::WatchdogTimeout {
                         elapsed_ms,
                         watchdog_ms: self.config.watchdog_ms.unwrap_or(0),
@@ -1055,9 +999,6 @@ impl<'a> Server<'a> {
                     self.stats.class_latency_s[class].observe(total.as_secs_f64());
                     if !done.degraded.is_empty() {
                         self.stats.degraded_solves.inc();
-                        if sink.enabled() {
-                            sink.count(catalog::CTR_DEGRADED, 1);
-                        }
                     }
                     self.stats.record_latency(
                         total.as_secs_f64() * 1e3,
@@ -1078,20 +1019,13 @@ impl<'a> Server<'a> {
                             "End-to-end latency (admission to answer) by problem, seconds.",
                         )
                         .observe(total.as_secs_f64());
-                    let (tier_ctr, tier_name) = match done.tier {
-                        ExecTier::Scalar => (&self.stats.tier_scalar, catalog::CTR_TIER_SCALAR),
-                        ExecTier::Bulk => (&self.stats.tier_bulk, catalog::CTR_TIER_BULK),
-                        ExecTier::Simd => (&self.stats.tier_simd, catalog::CTR_TIER_SIMD),
-                        ExecTier::BitParallel => {
-                            (&self.stats.tier_bitparallel, catalog::CTR_TIER_BITPARALLEL)
-                        }
-                    };
-                    tier_ctr.inc();
-                    if sink.enabled() {
-                        sink.count(catalog::CTR_COMPLETED, 1);
-                        sink.count(tier_name, 1);
-                        sink.observe(catalog::HIST_LATENCY, total.as_secs_f64());
+                    match done.tier {
+                        ExecTier::Scalar => &self.stats.tier_scalar,
+                        ExecTier::Bulk => &self.stats.tier_bulk,
+                        ExecTier::Simd => &self.stats.tier_simd,
+                        ExecTier::BitParallel => &self.stats.tier_bitparallel,
                     }
+                    .inc();
                     let resp = SolveResponse {
                         id: job.id,
                         problem: job.req.problem.clone(),
@@ -1122,18 +1056,12 @@ impl<'a> Server<'a> {
                 Ok(Err(msg)) => {
                     self.record_backend_failure();
                     self.stats.errors.inc();
-                    if sink.enabled() {
-                        sink.count(catalog::CTR_ERRORS, 1);
-                    }
                     self.finish_job(job, Err(ServeError::Backend(msg)));
                 }
                 Err(payload) => {
                     let msg = panic_text(payload.as_ref());
                     self.record_backend_failure();
                     self.stats.panics.inc();
-                    if sink.enabled() {
-                        sink.count(catalog::CTR_PANICS, 1);
-                    }
                     self.finish_job(job, Err(ServeError::Panicked(msg)));
                 }
             }
@@ -1149,10 +1077,7 @@ impl<'a> Server<'a> {
         .with_arg("batch", batch_size)
         .with_arg("key", key.label())
         .with_arg("cache_hit", if cache_hit { "true" } else { "false" });
-        self.live.flight().record_span(batch_span.clone());
-        if sink.enabled() {
-            sink.span(batch_span);
-        }
+        self.emit_span(batch_span);
     }
 
     // ---- HTTP front end --------------------------------------------

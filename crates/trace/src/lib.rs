@@ -110,9 +110,12 @@ pub mod tracks {
     }
 }
 
-/// The serve subsystem's span/counter catalog: every name `lddp-serve`
-/// emits, as constants, so dashboards and tests don't drift from the
-/// instrumentation sites (see `docs/SERVING.md` for semantics).
+/// The serve subsystem's span catalog: every span and sample name
+/// `lddp-serve` emits into a [`TraceSink`], as constants, so dashboards
+/// and tests don't drift from the instrumentation sites (see
+/// `docs/SERVING.md` for semantics). Request counts and latency
+/// distributions are not traced; they live in the server's `/stats`
+/// and `/metrics` views.
 pub mod catalog {
     /// Span: request sat in the admission queue (queue lane; args:
     /// `id`, `problem`).
@@ -126,65 +129,11 @@ pub mod catalog {
     /// Span: the once-per-batch parameter resolution (tuner-cache
     /// lookup or sweep) on a worker lane (args: `key`, `cache_hit`).
     pub const SPAN_TUNE: &str = "serve.tune";
-    /// Counter: requests admitted into the queue.
-    pub const CTR_ACCEPTED: &str = "serve.accepted";
-    /// Counter: requests rejected because the queue was full.
-    pub const CTR_REJECTED_FULL: &str = "serve.rejected.queue_full";
-    /// Counter: requests rejected because the server was draining.
-    pub const CTR_REJECTED_SHUTDOWN: &str = "serve.rejected.shutting_down";
-    /// Counter: requests dropped because their deadline expired queued.
-    pub const CTR_REJECTED_DEADLINE: &str = "serve.rejected.deadline";
-    /// Counter: requests rejected as invalid at admission.
-    pub const CTR_REJECTED_INVALID: &str = "serve.rejected.invalid";
-    /// Counter: requests completed successfully.
-    pub const CTR_COMPLETED: &str = "serve.completed";
-    /// Counter: requests that failed in the backend.
-    pub const CTR_ERRORS: &str = "serve.errors";
-    /// Counter: batches executed.
-    pub const CTR_BATCHES: &str = "serve.batches";
-    /// Counter: tuner-cache hits (one per batch).
-    pub const CTR_TUNE_HIT: &str = "serve.tuner_cache.hit";
-    /// Counter: tuner-cache misses (a fresh tune ran).
-    pub const CTR_TUNE_MISS: &str = "serve.tuner_cache.miss";
-    /// Counter: requests rejected because the circuit breaker was open.
-    pub const CTR_REJECTED_BREAKER: &str = "serve.rejected.breaker_open";
-    /// Counter: backend panics caught and isolated (request got a 500,
-    /// the worker survived).
-    pub const CTR_PANICS: &str = "serve.panics";
-    /// Counter: solves whose answer was withheld because they blew the
-    /// watchdog budget.
-    pub const CTR_WATCHDOG: &str = "serve.watchdog_timeouts";
-    /// Counter: circuit-breaker trips (closed/half-open → open).
-    pub const CTR_BREAKER_OPEN: &str = "serve.breaker.opens";
-    /// Counter: solves that succeeded only after degradation (see
-    /// `docs/ROBUSTNESS.md` for the ladder).
-    pub const CTR_DEGRADED: &str = "serve.degraded";
-    /// Counter: solves executed on the scalar cell-at-a-time tier.
-    pub const CTR_TIER_SCALAR: &str = "serve.tier.scalar";
-    /// Counter: solves executed on the bulk run-at-a-time tier.
-    pub const CTR_TIER_BULK: &str = "serve.tier.bulk";
-    /// Counter: solves executed on the SIMD lane tier.
-    pub const CTR_TIER_SIMD: &str = "serve.tier.simd";
-    /// Counter: solves executed on the bit-parallel tier.
-    pub const CTR_TIER_BITPARALLEL: &str = "serve.tier.bitparallel";
-    /// Sample series: queue depth after each admission/dequeue.
-    pub const SMP_QUEUE_DEPTH: &str = "serve.queue_depth";
-    /// Histogram: end-to-end request latency, seconds.
-    pub const HIST_LATENCY: &str = "serve.latency_s";
-    /// Histogram: time spent waiting in the queue, seconds.
-    pub const HIST_QUEUE_WAIT: &str = "serve.queue_wait_s";
-    /// Histogram: jobs per executed batch.
-    pub const HIST_BATCH_SIZE: &str = "serve.batch_size";
-    /// Counter: requests rejected up front because the §IV estimate
-    /// cannot meet their deadline.
-    pub const CTR_REJECTED_INFEASIBLE: &str = "serve.rejected.deadline_infeasible";
-    /// Counter: requests rejected because the tenant was over quota.
-    pub const CTR_REJECTED_TENANT: &str = "serve.rejected.tenant_quota";
-    /// Counter: batch-class requests shed by the brownout ladder.
-    pub const CTR_REJECTED_BROWNOUT: &str = "serve.rejected.brownout_shed";
     /// Span (zero-duration marker): one brownout-ladder level
     /// transition on the queue lane (args: `from`, `to`).
     pub const SPAN_BROWNOUT: &str = "serve.brownout";
+    /// Sample series: queue depth after each admission.
+    pub const SMP_QUEUE_DEPTH: &str = "serve.queue_depth";
 }
 
 /// A typed span/instant argument value.

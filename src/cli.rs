@@ -852,7 +852,8 @@ fn lcs_sequences(n: usize) -> (Vec<u8>, Vec<u8>) {
 /// the deterministic instance at size `n` as an [`Entry`] and invokes
 /// the caller's `$go!(entry)` macro. Every driver that needs a
 /// per-problem kernel (hetero solve, served solve, sequential oracle,
-/// classification, tuning) goes through this one registry, so a new
+/// classification, tuning, the `tune`/`balance`/`compare` reports)
+/// goes through this one registry, so a new
 /// problem — or a new rolling-capable one — is added in exactly one
 /// place.
 macro_rules! with_problem {
@@ -1658,14 +1659,11 @@ pub fn run_tune(
     platform_name: &str,
     refined: bool,
 ) -> Result<String, String> {
-    // Tuning happens inside run_solve when params are None; for the tune
-    // command we want the curves, so special-case the two string
-    // problems that dominate usage and fall back to fig9 otherwise.
     let platform = platform_by_name(platform_name);
     let fw = Framework::new(platform);
     macro_rules! tune_of {
-        ($k:expr) => {{
-            let kernel = $k;
+        ($entry:expr) => {{
+            let kernel = $entry.kernel;
             let result = if refined {
                 fw.tune_refined(&kernel).map_err(|e| e.to_string())?
             } else {
@@ -1685,17 +1683,7 @@ pub fn run_tune(
             Ok(out)
         }};
     }
-    let seq = |seed: u64| crate::workloads::random_seq(n, 4, seed);
-    match problem {
-        "levenshtein" => tune_of!(problems::LevenshteinKernel::new(seq(1), seq(2))),
-        "lcs" => tune_of!(problems::LcsKernel::new(seq(3), seq(4))),
-        "checkerboard" => tune_of!(problems::CheckerboardKernel::random(n, n, 9, 6)),
-        "dithering" => tune_of!(problems::DitherKernel::noise(n, n, 7)),
-        _ => tune_of!(problems::synthetic::fig9_kernel(
-            lddp_core::wavefront::Dims::new(n, n),
-            1
-        )),
-    }
+    with_problem!(problem, n, tune_of)
 }
 
 /// Runs `balance`: dynamic load balancing vs the tuned static plan.
@@ -1707,8 +1695,8 @@ pub fn run_balance(
 ) -> Result<String, String> {
     let platform = platform_by_name(platform_name);
     macro_rules! balance_of {
-        ($k:expr) => {{
-            let kernel = $k;
+        ($entry:expr) => {{
+            let kernel = $entry.kernel;
             let fw = Framework::new(platform.clone());
             let tuned = fw.tune(&kernel).map_err(|e| e.to_string())?;
             let static_s = fw
@@ -1729,17 +1717,7 @@ pub fn run_balance(
             ))
         }};
     }
-    let seq = |seed: u64| crate::workloads::random_seq(n, 4, seed);
-    match problem {
-        "levenshtein" => balance_of!(problems::LevenshteinKernel::new(seq(1), seq(2))),
-        "lcs" => balance_of!(problems::LcsKernel::new(seq(3), seq(4))),
-        "checkerboard" => balance_of!(problems::CheckerboardKernel::random(n, n, 9, 6)),
-        "dithering" => balance_of!(problems::DitherKernel::noise(n, n, 7)),
-        _ => balance_of!(problems::synthetic::fig9_kernel(
-            lddp_core::wavefront::Dims::new(n, n),
-            1
-        )),
-    }
+    with_problem!(problem, n, balance_of)
 }
 
 /// CPU/GPU/Framework virtual times for one instance.
@@ -1765,9 +1743,10 @@ pub fn run_compare_data(
 ) -> Result<CompareOutput, String> {
     let platform = platform_by_name(platform_name);
     macro_rules! compare_of {
-        ($k:expr, $io:expr) => {{
-            let kernel = $k;
-            let fw = Framework::new(platform.clone()).with_io_bytes($io.0, $io.1);
+        ($entry:expr) => {{
+            let e = $entry;
+            let kernel = e.kernel;
+            let fw = Framework::new(platform.clone()).with_io_bytes(e.io.0, e.io.1);
             let cpu = fw.cpu_baseline(&kernel).map_err(|e| e.to_string())?;
             let gpu = fw.gpu_baseline(&kernel).map_err(|e| e.to_string())?;
             let tuned = fw.tune(&kernel).map_err(|e| e.to_string())?;
@@ -1783,17 +1762,7 @@ pub fn run_compare_data(
             })
         }};
     }
-    let seq = |seed: u64| crate::workloads::random_seq(n, 4, seed);
-    match problem {
-        "levenshtein" => compare_of!(problems::LevenshteinKernel::new(seq(1), seq(2)), (2 * n, 8)),
-        "lcs" => compare_of!(problems::LcsKernel::new(seq(3), seq(4)), (2 * n, 8)),
-        "checkerboard" => compare_of!(problems::CheckerboardKernel::random(n, n, 9, 6), (n * n, 0)),
-        "dithering" => compare_of!(problems::DitherKernel::noise(n, n, 7), (n * n, n * n)),
-        _ => compare_of!(
-            problems::synthetic::fig9_kernel(lddp_core::wavefront::Dims::new(n, n), 1),
-            (0, 0)
-        ),
-    }
+    with_problem!(problem, n, compare_of)
 }
 
 /// Runs `compare` and renders the CPU/GPU/Framework triple.
@@ -1947,9 +1916,9 @@ fn serve_with(
         let trace_json = chrome::to_chrome_json(&data);
         std::fs::write(path, &trace_json).map_err(|e| format!("writing {path}: {e}"))?;
         msg.push_str(&format!(
-            "\ntrace     : {} spans, {} counter series -> {path}",
+            "\ntrace     : {} spans, {} samples -> {path}",
             data.spans.len(),
-            data.counters.len()
+            data.samples.len()
         ));
     }
     Ok(msg)

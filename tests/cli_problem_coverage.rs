@@ -54,3 +54,23 @@ fn every_cli_problem_is_classifiable_and_tunable() {
             .unwrap_or_else(|e| panic!("tuning \"{name}\" failed: {e}"));
     }
 }
+
+#[test]
+fn tune_balance_and_compare_run_every_cli_problem() {
+    for name in cli::PROBLEMS {
+        cli::run_tune(name, 24, "high", false)
+            .unwrap_or_else(|e| panic!("`tune` on \"{name}\" failed: {e}"));
+        cli::run_balance(name, 24, "high", 4)
+            .unwrap_or_else(|e| panic!("`balance` on \"{name}\" failed: {e}"));
+        cli::run_compare_data(name, 24, "low")
+            .unwrap_or_else(|e| panic!("`compare` on \"{name}\" failed: {e}"));
+    }
+}
+
+#[test]
+fn compare_runs_the_named_problem_not_a_stand_in() {
+    let dtw = cli::run_compare("dtw", 64, "low").unwrap();
+    let fig9 = cli::run_compare("fig9", 64, "low").unwrap();
+    let numbers = |out: &str| out.lines().skip(1).collect::<Vec<_>>().join("\n");
+    assert_ne!(numbers(&dtw), numbers(&fig9), "dtw:\n{dtw}\nfig9:\n{fig9}");
+}

@@ -137,6 +137,7 @@ fn http_run_exports_perfetto_timeline_with_serve_spans() {
     assert_eq!(report.errors, 0);
     assert_eq!(report.mismatches, 0);
 
+    let snap = server.snapshot();
     let data = recorder.into_data();
     for span in [
         catalog::SPAN_QUEUE_WAIT,
@@ -152,8 +153,8 @@ fn http_run_exports_perfetto_timeline_with_serve_spans() {
         .filter(|s| s.name == catalog::SPAN_QUEUE_WAIT)
         .count();
     assert_eq!(waits, 40, "one queue-wait span per served request");
-    assert_eq!(data.counters[catalog::CTR_COMPLETED], 40);
-    assert_eq!(data.counters[catalog::CTR_ACCEPTED], 40);
+    assert_eq!(snap.completed, 40);
+    assert_eq!(snap.accepted, 40);
 
     // The export must be loadable: valid JSON in the Chrome trace shape
     // (object with a traceEvents array mentioning the serve spans).
