@@ -51,6 +51,17 @@ pub fn pick_tier(points: &[TierPoint]) -> Option<ExecTier> {
     best.map(|p| p.tier)
 }
 
+/// The worker count for a tuned bucket from one timed solve on one
+/// worker (`one_s`) and one on the engine's pool (`pool_s`): `Some(1)`
+/// when one worker is no slower — a tie prefers it, since an inline
+/// solve takes no pool lock and waits on no barrier — and `None` (the
+/// engine's full count) otherwise. This is the paper's `t_switch`
+/// trade-off (§IV) applied to threads: waves too narrow to repay the
+/// per-wave synchronization stay on one processor.
+pub fn pick_workers(one_s: f64, pool_s: f64) -> Option<usize> {
+    (one_s <= pool_s).then_some(1)
+}
+
 /// Outcome of the two-stage sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuneResult {
@@ -337,6 +348,13 @@ mod tests {
             },
         ];
         assert_eq!(pick_tier(&tied), Some(ExecTier::Bulk));
+    }
+
+    #[test]
+    fn pick_workers_keeps_one_worker_unless_the_pool_is_faster() {
+        assert_eq!(pick_workers(0.8e-3, 2.4e-3), Some(1));
+        assert_eq!(pick_workers(1.0, 1.0), Some(1), "a tie prefers one worker");
+        assert_eq!(pick_workers(0.178, 0.139), None);
     }
 
     #[test]

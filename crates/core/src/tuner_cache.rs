@@ -9,9 +9,9 @@
 //! dimensions to their next power of two, so any instance in the same
 //! bucket shares one tuned artifact. Alongside the paper's
 //! `(t_switch, t_share)` pair the artifact carries the measured-fastest
-//! [`ExecTier`] ([`TunedConfig`]), so a cache hit also skips the tier
-//! sweep. Consumers must re-legalize cached parameters for the exact
-//! instance with
+//! [`ExecTier`] and the measured worker count ([`TunedConfig`]), so a
+//! cache hit also skips the tier and worker timings. Consumers must
+//! re-legalize cached parameters for the exact instance with
 //! [`ScheduleParams::clamped_for`](crate::schedule::ScheduleParams::clamped_for)
 //! (a cached `t_switch` tuned near the top of the bucket can exceed a
 //! smaller instance's wave count).
@@ -81,15 +81,23 @@ pub struct TunedConfig {
     /// chosen when the memory model says the full table busts the
     /// platform budget (and the problem supports wave-band execution).
     pub memory_mode: MemoryMode,
+    /// Worker threads the bucket's solves ask the engine for; `None`
+    /// uses the engine's full count. The tuner sets `Some(1)` when one
+    /// worker solved the winning tier no slower than the pool: such a
+    /// solve runs inline on the calling thread, with no pool hand-off
+    /// and no per-wave barrier.
+    pub workers: Option<usize>,
 }
 
 impl TunedConfig {
-    /// Convenience constructor (full-table mode).
+    /// Convenience constructor (full-table mode, the engine's full
+    /// worker count).
     pub const fn new(params: ScheduleParams, tier: ExecTier) -> TunedConfig {
         TunedConfig {
             params,
             tier,
             memory_mode: MemoryMode::Full,
+            workers: None,
         }
     }
 
@@ -188,7 +196,7 @@ impl TunerCache {
                     concat!(
                         "{{\"pattern\":\"{}\",\"rows_bucket\":{},\"cols_bucket\":{},",
                         "\"platform\":\"{}\",\"t_switch\":{},\"t_share\":{},\"tier\":\"{}\",",
-                        "\"memory_mode\":\"{}\"}}"
+                        "\"memory_mode\":\"{}\"{}}}"
                     ),
                     escape(&format!("{:?}", k.pattern)),
                     k.rows_bucket,
@@ -198,6 +206,8 @@ impl TunerCache {
                     c.params.t_share,
                     c.tier.as_str(),
                     c.memory_mode.as_str(),
+                    c.workers
+                        .map_or(String::new(), |w| format!(",\"workers\":{w}")),
                 )
             })
             .collect();
@@ -267,10 +277,18 @@ fn decode_entry(e: &Json) -> Option<(TuneKey, TunedConfig)> {
         None => MemoryMode::Full,
         Some(v) => MemoryMode::parse(v.as_str()?)?,
     };
+    // `workers` is absent for the engine's full count (and in caches
+    // written before the worker count was tuned); a present value must
+    // be a positive integer.
+    let workers = match e.get("workers") {
+        None => None,
+        Some(_) => Some(field("workers").filter(|&w| w > 0)?),
+    };
     let config = TunedConfig {
         params: ScheduleParams::new(field("t_switch")?, field("t_share")?),
         tier: ExecTier::parse(e.get("tier")?.as_str()?)?,
         memory_mode,
+        workers,
     };
     Some((key, config))
 }
@@ -447,6 +465,49 @@ mod tests {
             .get(&TuneKey::new(Pattern::Horizontal, Dims::new(8, 8), "p"))
             .unwrap();
         assert_eq!(loaded.memory_mode, MemoryMode::Full);
+    }
+
+    #[test]
+    fn workers_round_trip_default_to_none_and_reject_bad_values() {
+        let cache = TunerCache::new();
+        let key = TuneKey::new(Pattern::AntiDiagonal, Dims::new(1024, 1024), "high");
+        let one = TunedConfig {
+            workers: Some(1),
+            ..cfg(0, 0, ExecTier::Simd)
+        };
+        cache.insert(key.clone(), one);
+        let text = cache.save_json();
+        assert!(text.contains("\"workers\":1"), "{text}");
+        let restored = TunerCache::new();
+        assert_eq!(restored.load_json(&text), Ok(1));
+        assert_eq!(restored.get(&key), Some(one));
+        assert_eq!(restored.save_json(), text);
+        // No field: the engine's full count, as in caches written
+        // before the worker count was tuned. A present value that is
+        // zero or not a number skips the entry like an unknown tier.
+        let entry = |rows: usize, workers: &str| {
+            format!(
+                "{{\"pattern\":\"Horizontal\",\"rows_bucket\":{rows},\"cols_bucket\":8,\
+                 \"platform\":\"p\",\"t_switch\":0,\"t_share\":4,\"tier\":\"bulk\"{workers}}}"
+            )
+        };
+        let text = format!(
+            "{{\"version\":1,\"entries\":[{},{},{},{}]}}",
+            entry(8, ""),
+            entry(16, ",\"workers\":0"),
+            entry(32, ",\"workers\":\"one\""),
+            entry(64, ",\"workers\":1.5"),
+        );
+        let tolerant = TunerCache::new();
+        assert_eq!(tolerant.load_json(&text), Ok(1));
+        let loaded = tolerant
+            .get(&TuneKey::new(Pattern::Horizontal, Dims::new(8, 8), "p"))
+            .unwrap();
+        assert_eq!(loaded.workers, None);
+        // The engine's full count writes no field at all.
+        let full = TunerCache::new();
+        full.insert(key, cfg(0, 0, ExecTier::Simd));
+        assert!(!full.save_json().contains("workers"));
     }
 
     #[test]

@@ -405,7 +405,9 @@ pub struct ParallelEngine {
     threads: usize,
     tier: Option<ExecTier>,
     live: Option<Arc<LiveRegistry>>,
-    pool: OnceLock<Arc<WorkerPool>>,
+    /// Shared by every clone, including clones taken before the first
+    /// pooled solve creates the pool.
+    pool: Arc<OnceLock<WorkerPool>>,
 }
 
 impl ParallelEngine {
@@ -416,7 +418,7 @@ impl ParallelEngine {
             threads: threads.max(1),
             tier: None,
             live: None,
-            pool: OnceLock::new(),
+            pool: Arc::new(OnceLock::new()),
         }
     }
 
@@ -571,9 +573,8 @@ impl ParallelEngine {
     }
 
     /// The engine's worker pool, created on first use.
-    fn pool(&self) -> &Arc<WorkerPool> {
-        self.pool
-            .get_or_init(|| Arc::new(WorkerPool::new(self.threads)))
+    fn pool(&self) -> &WorkerPool {
+        self.pool.get_or_init(|| WorkerPool::new(self.threads))
     }
 
     /// Solves the kernel under its classified canonical pattern.
@@ -2023,7 +2024,17 @@ mod tests {
         engine.solve(&kernel).unwrap(); // force pool creation
         let clone = engine.clone();
         clone.solve(&kernel).unwrap();
-        assert!(Arc::ptr_eq(engine.pool(), clone.pool()));
+        assert!(std::ptr::eq(engine.pool(), clone.pool()));
+        // A clone taken before the pool exists shares it too: the
+        // serving path clones its engine per solve to pin the tier.
+        let fresh = ParallelEngine::new(3);
+        let pinned = fresh.clone().with_tier(Some(ExecTier::Scalar));
+        pinned.solve(&kernel).unwrap();
+        assert!(
+            fresh.pool_started(),
+            "the clone's pool is not the original's"
+        );
+        assert!(std::ptr::eq(fresh.pool(), pinned.pool()));
     }
 
     /// [`BulkMix`] plus a SIMD hook whose "vector" body is the bulk

@@ -525,6 +525,11 @@ pub struct SolveResponse {
     /// the server, milliseconds. 0 for non-streamed solves (and for
     /// streams whose first band never made it out).
     pub ttfb_ms: f64,
+    /// Worker threads the backend asked its engine for, clamped to the
+    /// engine's count: 1 when the solve ran inline on the serve worker
+    /// (a tuned one-worker bucket, or the bit-parallel row kernel).
+    /// 0 on replies from servers that predate worker reporting.
+    pub workers: usize,
 }
 
 impl SolveResponse {
@@ -545,7 +550,7 @@ impl SolveResponse {
              \"placed_on\":\"{}\",\"devices\":{},\
              \"timings\":{{\"queue_wait_ms\":{},\"batch_ms\":{},\
              \"tune_ms\":{},\"solve_ms\":{},\"ttfb_ms\":{},\"tier\":\"{}\",\
-             \"memory_mode\":\"{}\",\"table_bytes\":{}}}}}",
+             \"memory_mode\":\"{}\",\"table_bytes\":{},\"workers\":{}}}}}",
             self.id,
             escape(&self.trace_id),
             escape(&self.problem),
@@ -570,6 +575,7 @@ impl SolveResponse {
             self.tier.as_str(),
             self.memory_mode.as_str(),
             self.table_bytes,
+            self.workers,
         )
     }
 
@@ -668,6 +674,12 @@ impl SolveResponse {
                 .and_then(|t| t.get("ttfb_ms"))
                 .and_then(Json::as_f64)
                 .unwrap_or(0.0),
+            // Absent on servers predating worker reporting.
+            workers: v
+                .get("timings")
+                .and_then(|t| t.get("workers"))
+                .and_then(Json::as_f64)
+                .map_or(0, |w| w as usize),
         })
     }
 }
@@ -768,10 +780,12 @@ mod tests {
             placed_on: "hetero-low".into(),
             devices: 3,
             ttfb_ms: 0.875,
+            workers: 2,
         };
         let json = resp.to_json();
         assert!(json.contains("\"timings\":{"));
         assert!(json.contains("\"queue_wait_ms\":0.25"));
+        assert!(json.contains("\"workers\":2}"), "{json}");
         let back = SolveResponse::from_json(&json).unwrap();
         assert_eq!(resp, back);
     }
@@ -798,6 +812,8 @@ mod tests {
         assert_eq!(parsed.table_bytes, 0);
         // And the streaming TTFB, which predates the streaming path.
         assert_eq!(parsed.ttfb_ms, 0.0);
+        // And the worker count, which predates worker tuning.
+        assert_eq!(parsed.workers, 0);
     }
 
     #[test]

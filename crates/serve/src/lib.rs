@@ -180,6 +180,7 @@ mod tests {
                 degraded,
                 placed_on: None,
                 devices: 1,
+                workers: 1,
             })
         }
     }

@@ -785,6 +785,7 @@ mod tests {
                 .to_string(),
                 devices: if req.n >= 512 { 3 } else { 1 },
                 ttfb_ms: 0.0,
+                workers: 1,
             })
         }
 
@@ -951,6 +952,7 @@ mod tests {
                 placed_on: String::new(),
                 devices: 1,
                 ttfb_ms: 0.0,
+                workers: 1,
             })
         }
     }

@@ -61,6 +61,10 @@ struct QueueState {
     /// arrival order is preserved for deadline-free work.
     classes: [VecDeque<Job>; 2],
     open: bool,
+    /// Workers blocked on an empty queue, so tests can order pushes
+    /// after pops without sleeping.
+    #[cfg(test)]
+    parked: usize,
 }
 
 impl QueueState {
@@ -92,6 +96,8 @@ impl JobQueue {
             state: Mutex::new(QueueState {
                 classes: [VecDeque::new(), VecDeque::new()],
                 open: true,
+                #[cfg(test)]
+                parked: 0,
             }),
             cv: Condvar::new(),
             budgets: [interactive, batch],
@@ -122,7 +128,15 @@ impl JobQueue {
         state.classes[class].push_back(job);
         let depth = state.classes[0].len() + state.classes[1].len();
         drop(state);
-        self.cv.notify_one();
+        // Any worker can take interactive work, but a brownout-restricted
+        // worker cannot take batch work: waking just one waiter could
+        // pick a restricted one, which naps while an unrestricted worker
+        // stays parked until the next push.
+        if class == Priority::Batch.index() {
+            self.cv.notify_all();
+        } else {
+            self.cv.notify_one();
+        }
         Ok(depth)
     }
 
@@ -155,7 +169,15 @@ impl JobQueue {
                 if !state.open {
                     return None;
                 }
+                #[cfg(test)]
+                {
+                    state.parked += 1;
+                }
                 state = self.cv.wait(state).unwrap();
+                #[cfg(test)]
+                {
+                    state.parked -= 1;
+                }
                 continue;
             }
             // Shed expired work from every class — even classes this
@@ -316,6 +338,12 @@ impl JobQueue {
     /// Whether admission is still open.
     pub fn is_open(&self) -> bool {
         self.state.lock().unwrap().open
+    }
+
+    /// Workers currently blocked on an empty queue.
+    #[cfg(test)]
+    fn parked(&self) -> usize {
+        self.state.lock().unwrap().parked
     }
 }
 
@@ -673,6 +701,41 @@ mod tests {
         late.req.priority = Priority::Batch;
         assert!(q.push(late).is_err());
         assert!(q.pop_batch_filtered(4, false).is_none());
+    }
+
+    #[test]
+    fn batch_push_wakes_the_unrestricted_worker_behind_a_restricted_one() {
+        let q = std::sync::Arc::new(JobQueue::with_budgets(4, 4));
+        let wait_parked = |n: usize| {
+            while q.parked() < n {
+                std::thread::yield_now();
+            }
+        };
+        let restricted = {
+            let q = std::sync::Arc::clone(&q);
+            std::thread::spawn(move || q.pop_batch_filtered(8, false))
+        };
+        wait_parked(1);
+        let (tx, rx) = mpsc::channel();
+        let unrestricted = {
+            let q = std::sync::Arc::clone(&q);
+            std::thread::spawn(move || tx.send(q.pop_batch(8)).unwrap())
+        };
+        wait_parked(2);
+        let (mut j, _rj) = job(1, "lcs", 64);
+        j.req.priority = Priority::Batch;
+        q.push(j).unwrap();
+        let got = rx.recv_timeout(Duration::from_secs(1));
+        // Closing wakes whoever is still parked, so both threads join
+        // whatever the outcome.
+        q.close();
+        restricted.join().unwrap();
+        unrestricted.join().unwrap();
+        let popped = got
+            .expect("the unrestricted worker stayed parked after a batch push")
+            .expect("queue open at the push");
+        let ids: Vec<u64> = popped.batch.iter().map(|j| j.id).collect();
+        assert_eq!(ids, vec![1]);
     }
 
     #[test]

@@ -36,6 +36,7 @@
 //!             degraded: vec![],
 //!             placed_on: None,
 //!             devices: 1,
+//!             workers: 1,
 //!         })
 //!     }
 //! }
@@ -151,6 +152,9 @@ pub struct BackendSolve {
     /// Simulated devices that cooperated on the grid (1 = ordinary
     /// solve, >1 = cross-device `MultiPlan` band split).
     pub devices: usize,
+    /// Worker threads the backend asked its engine for, clamped to the
+    /// engine's count (1 for a solve on the calling thread).
+    pub workers: usize,
 }
 
 /// The batch-level decision a backend makes before per-request solves:
@@ -1049,6 +1053,7 @@ impl<'a> Server<'a> {
                             .or_else(|| plan.placement.clone())
                             .unwrap_or_default(),
                         devices: done.devices.max(1),
+                        workers: done.workers.max(1),
                         ttfb_ms: ttfb_ms.lock().unwrap().unwrap_or(0.0),
                     };
                     self.finish_job(job, Ok(resp));

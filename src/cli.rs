@@ -714,6 +714,10 @@ pub struct RunSummary {
     pub hetero_ms: f64,
     /// Headline answer (problem-specific).
     pub answer: String,
+    /// Worker threads the solve asked its engine for, clamped to the
+    /// engine's count; 1 for paths that compute on the calling thread
+    /// (the bit-parallel row kernel, the simulated platform).
+    pub workers: usize,
 }
 
 impl RunSummary {
@@ -1016,6 +1020,7 @@ pub fn run_solve_traced(
                     table_bytes: rolling::full_table_bytes(kernel),
                     hetero_ms: solution.total_s * 1e3,
                     answer: (e.answer)(kernel, &solution.grid),
+                    workers: 1,
                 },
                 n,
                 platform: platform_name.to_string(),
@@ -1073,6 +1078,11 @@ pub struct ServedSpec<'a> {
     /// (backpressure); one returning `false` stops emission while the
     /// solve completes. Full-table problems ignore it.
     pub emit: Option<&'a (dyn Fn(rolling::BandEvent) -> bool + Sync)>,
+    /// Worker threads to ask the engine for (a tuned
+    /// [`TunedConfig::workers`]); `None` uses all of them. Ignored with
+    /// an injector: an injected solve stays on the pool, where the
+    /// per-(worker, wave) fault draws happen.
+    pub threads: Option<usize>,
 }
 
 /// Whether a served solve of `problem` in `memory` under tier pin
@@ -1108,6 +1118,7 @@ pub fn run_solve_served(
     // A degraded rung would replay bands the client already holds, so
     // injected solves keep to the non-streamed ladder.
     let emit = spec.emit.filter(|_| spec.injector.is_none());
+    let threads = spec.threads.filter(|_| spec.injector.is_none());
     let engine = engine.clone().with_tier(spec.tier);
     macro_rules! served {
         ($entry:expr) => {{
@@ -1144,6 +1155,7 @@ pub fn run_solve_served(
                     best_of: band.best_of,
                     stream: hook.as_ref(),
                     injector: spec.injector,
+                    threads,
                     ..crate::parallel::SolveSpec::default()
                 };
                 let (solved, steps) = engine
@@ -1163,6 +1175,7 @@ pub fn run_solve_served(
             } else {
                 let engine_spec = crate::parallel::SolveSpec {
                     injector: spec.injector,
+                    threads,
                     ..crate::parallel::SolveSpec::default()
                 };
                 let tier = engine.select_tier(kernel);
@@ -1188,6 +1201,11 @@ pub fn run_solve_served(
                     table_bytes,
                     hetero_ms: hetero_s * 1e3,
                     answer,
+                    workers: if bitparallel {
+                        1
+                    } else {
+                        threads.unwrap_or(engine.threads()).clamp(1, engine.threads())
+                    },
                 },
                 degraded,
             ))
@@ -1359,6 +1377,7 @@ pub fn run_solve_multi(
                 table_bytes: rolling::full_table_bytes(kernel),
                 hetero_ms: report.total_s * 1e3,
                 answer: (e.answer)(kernel, &grid),
+                workers: 1,
             })
         }};
     }
@@ -1497,7 +1516,11 @@ pub fn choose_memory_mode(problem: &str, n: usize, platform_name: &str) -> Memor
 
 /// The full tuning step the serving cache amortizes: the §V-A parameter
 /// sweep plus a wall-clock execution-tier sweep on `engine`
-/// ([`ParallelEngine::tune_tier`](crate::parallel::ParallelEngine::tune_tier)).
+/// ([`ParallelEngine::tune_tier`](crate::parallel::ParallelEngine::tune_tier)),
+/// then the worker count: the winning tier is timed once more on one
+/// worker, in the sweep's (full-table) memory mode, and kept on one
+/// worker when that is no slower than the sweep's pooled solve
+/// ([`lddp_core::tuner::pick_workers`]).
 /// For `lcs` the bit-parallel row kernel joins the sweep as a fourth
 /// candidate — it computes the answer without a grid, so it competes on
 /// the same best-of-wall-clock terms as the grid tiers.
@@ -1509,18 +1532,32 @@ pub fn tune_config(
 ) -> Result<TunedConfig, String> {
     let params = tune_params(problem, n, platform_name)?;
     macro_rules! tier_of {
-        ($entry:expr) => {
-            engine.tune_tier(&$entry.kernel).map_err(|e| e.to_string())
-        };
+        ($entry:expr) => {{
+            let kernel = &$entry.kernel;
+            let (tier, points) = engine.tune_tier(kernel).map_err(|e| e.to_string())?;
+            let pool_secs = points
+                .iter()
+                .find(|p| p.tier == tier)
+                .map_or(f64::INFINITY, |p| p.secs);
+            // A one-thread engine has nothing to choose between.
+            let one_secs = if engine.threads() == 1 {
+                f64::INFINITY
+            } else {
+                let one = crate::parallel::SolveSpec {
+                    threads: Some(1),
+                    ..crate::parallel::SolveSpec::default()
+                };
+                let pinned = engine.clone().with_tier(Some(tier));
+                let t0 = Instant::now();
+                pinned.solve_with(kernel, &one).map_err(|e| e.to_string())?;
+                t0.elapsed().as_secs_f64()
+            };
+            let workers = lddp_core::tuner::pick_workers(one_secs, pool_secs);
+            Ok::<_, String>((tier, one_secs.min(pool_secs), workers))
+        }};
     }
-    let (mut tier, points): (ExecTier, Vec<lddp_core::tuner::TierPoint>) =
-        with_problem!(problem, n, tier_of)?;
+    let (mut tier, grid_secs, workers) = with_problem!(problem, n, tier_of)?;
     if problem == "lcs" {
-        let grid_secs = points
-            .iter()
-            .find(|p| p.tier == tier)
-            .map(|p| p.secs)
-            .unwrap_or(f64::INFINITY);
         let (a, b) = lcs_sequences(n);
         let bp_secs = best_secs(1, || {
             std::hint::black_box(problems::lcs::lcs_length_bitparallel(&a, &b));
@@ -1529,13 +1566,14 @@ pub fn tune_config(
             tier = ExecTier::BitParallel;
         }
     }
-    Ok(
-        TunedConfig::new(params, tier).with_memory_mode(choose_memory_mode(
+    Ok(TunedConfig {
+        workers,
+        ..TunedConfig::new(params, tier).with_memory_mode(choose_memory_mode(
             problem,
             n,
             platform_name,
-        )),
-    )
+        ))
+    })
 }
 
 /// Renders a [`SolveOutput`] as one machine-readable JSON object.

@@ -223,6 +223,7 @@ impl FleetBackend {
             memory: config.memory_mode,
             injector: self.injector.as_deref(),
             emit,
+            threads: config.workers,
         };
         let platform = cost_platform(&pool.spec.name);
         let (summary, degraded) =
@@ -475,6 +476,44 @@ mod tests {
             for i in 0..b.fleet().len() {
                 assert_eq!(b.fleet().dispatcher().backlog(i), 0.0);
             }
+        }
+    }
+
+    #[test]
+    fn one_worker_placed_solves_stay_off_the_pools() {
+        let b = FleetBackend::new();
+        for idx in 0..b.fleet().len() {
+            let pool = b.fleet().pool(idx);
+            for &problem in cli::PROBLEMS {
+                let req = SolveRequest::new(problem, 48);
+                let oracle = cli::run_solve_seq(problem, 48).unwrap();
+                let tier = cli::select_tier(problem, 48, &pool.engine).unwrap();
+                let config = TunedConfig {
+                    workers: Some(1),
+                    ..TunedConfig::new(lddp_core::schedule::ScheduleParams::new(4, 16), tier)
+                };
+                let full = BatchPlan {
+                    config,
+                    cache_hit: false,
+                    placement: Some(pool.spec.name.clone()),
+                    predicted_s: None,
+                };
+                let mut served = vec![b.solve_placed(&req, &full, &NullSink).unwrap()];
+                if cli::rolling_supported(problem) {
+                    let rolling = BatchPlan {
+                        config: config.with_memory_mode(MemoryMode::Rolling),
+                        ..full.clone()
+                    };
+                    served.push(b.solve_placed(&req, &rolling, &NullSink).unwrap());
+                    served.push(b.solve_streamed(&req, &full, &NullSink, &|_| true).unwrap());
+                }
+                for s in served {
+                    assert_eq!(s.answer, oracle, "{problem} on {}", pool.spec.name);
+                    assert_eq!(s.placed_on.as_deref(), Some(pool.spec.name.as_str()));
+                    assert_eq!(s.workers, 1, "{problem}");
+                }
+            }
+            assert!(!pool.engine.pool_started(), "{} started", pool.spec.name);
         }
     }
 

@@ -103,6 +103,7 @@ pub(crate) fn backend_solve(
         degraded,
         placed_on,
         devices,
+        workers: summary.workers,
     }
 }
 
@@ -209,6 +210,7 @@ impl FrameworkBackend {
             memory: config.memory_mode,
             injector: self.injector.as_deref(),
             emit,
+            threads: config.workers,
         };
         let (summary, degraded) =
             cli::run_solve_served(&req.problem, req.n, &req.platform, &self.engine, &spec)?;
@@ -399,6 +401,111 @@ mod tests {
                 assert_eq!(streamed.answer, oracle, "{label} streamed");
             }
         }
+    }
+
+    /// A config that asks for one worker, on the engine's own tier.
+    fn one_worker(problem: &str, n: usize, engine: &ParallelEngine) -> TunedConfig {
+        let tier = cli::select_tier(problem, n, engine).unwrap();
+        TunedConfig {
+            workers: Some(1),
+            ..TunedConfig::new(ScheduleParams::new(4, 16), tier)
+        }
+    }
+
+    #[test]
+    fn one_worker_configs_solve_inline_with_oracle_answers() {
+        // Plain and with a live registry (the served configuration,
+        // which routes the engine through its instrumented path).
+        let live = Arc::new(LiveRegistry::new());
+        for b in [
+            FrameworkBackend::new(),
+            FrameworkBackend::new().with_live(live),
+        ] {
+            for &problem in cli::PROBLEMS {
+                let req = SolveRequest::new(problem, 48);
+                let oracle = cli::run_solve_seq(problem, 48).unwrap();
+                let config = one_worker(problem, 48, &b.engine);
+                let mut served = vec![b.solve(&req, config, &NullSink).unwrap()];
+                if cli::rolling_supported(problem) {
+                    let rolling = config.with_memory_mode(MemoryMode::Rolling);
+                    served.push(b.solve(&req, rolling, &NullSink).unwrap());
+                    let plan = BatchPlan {
+                        config,
+                        cache_hit: false,
+                        placement: None,
+                        predicted_s: None,
+                    };
+                    let frames = std::sync::atomic::AtomicUsize::new(0);
+                    let emit = |_: BandFrame| {
+                        frames.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        true
+                    };
+                    served.push(b.solve_streamed(&req, &plan, &NullSink, &emit).unwrap());
+                    assert!(frames.into_inner() > 0, "{problem} streamed no bands");
+                }
+                for s in served {
+                    assert_eq!(s.answer, oracle, "{problem}");
+                    assert_eq!(s.workers, 1, "{problem}");
+                }
+            }
+            assert!(
+                !b.engine.pool_started(),
+                "a one-worker solve touched the pool"
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_one_worker_solves_run_side_by_side() {
+        let b = FrameworkBackend::new();
+        let req = SolveRequest::new("levenshtein", 256);
+        let oracle = cli::run_solve_seq("levenshtein", 256).unwrap();
+        let config = one_worker("levenshtein", 256, &b.engine);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let solvers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        b.solve(&req, config, &NullSink).unwrap()
+                    })
+                })
+                .collect();
+            for solver in solvers {
+                assert_eq!(solver.join().unwrap().answer, oracle);
+            }
+        });
+        assert!(!b.engine.pool_started());
+    }
+
+    #[test]
+    fn injected_solves_ignore_the_tuned_worker_count() {
+        // An inline solve draws no faults, so a chaos backend keeps its
+        // pool whatever the tuner measured.
+        let always = FaultPlanConfig {
+            worker_panic_prob: 1.0,
+            ..FaultPlanConfig::none()
+        };
+        let reg = Arc::new(LiveRegistry::new());
+        let plain = FrameworkBackend::with_injector(Arc::new(FaultPlan::new(3, always)));
+        let live = FrameworkBackend::with_injector(Arc::new(FaultPlan::new(3, always)))
+            .with_live(Arc::clone(&reg));
+        let req = SolveRequest::new("levenshtein", 64);
+        let oracle = cli::run_solve_seq("levenshtein", 64).unwrap();
+        for b in [plain, live] {
+            let config = one_worker("levenshtein", 64, &b.engine);
+            let served = b.solve(&req, config, &NullSink).unwrap();
+            assert_eq!(served.answer, oracle);
+            assert!(!served.degraded.is_empty(), "an always-fire plan degrades");
+            assert_eq!(served.workers, b.engine.threads());
+        }
+        let text = reg.to_prometheus();
+        let injected: f64 = text
+            .lines()
+            .filter(|l| l.starts_with("lddp_chaos_injected_total{"))
+            .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
+            .sum();
+        assert!(injected > 0.0, "{text}");
     }
 
     #[test]
